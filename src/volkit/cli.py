@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -33,8 +32,8 @@ from .segmetrics import (
     evaluate_case,
     region_metrics,
 )
-from .volbounds import avpe_bound, bound_curve, vpe_bounds_from_dice
-from .volgrid import NiftiError, binarize, load_nifti
+from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_bounds_from_dice
+from .volgrid import NiftiError, binarize, is_binary, load_nifti
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,6 +67,24 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _row_floats(path, number: int, row: dict, keys) -> list:
+    """The named cells of CSV row ``number`` (the header is row 1) as floats.
+
+    An empty or missing cell is undefined and reads as None; a cell that is
+    not a number raises ValueError naming the row.
+    """
+    out = []
+    for key in keys:
+        try:
+            out.append(float(row[key]) if row.get(key) else None)
+        except ValueError:
+            raise ValueError(
+                f"{path} row {number} (case {row.get('case_id', '?')}): "
+                f"{key}={row[key]!r} is not a number"
+            ) from None
+    return out
+
+
 # --- dataset discovery and per-case evaluation --------------------------
 
 
@@ -94,18 +111,33 @@ def discover_pairs(pred_dir: str, gt_dir: str) -> dict[str, tuple[str, str]]:
 
 def _load_mask(path: str, threshold: float):
     grid = load_nifti(path)
-    values = np.asarray(grid.data)
-    if not np.isin(values, (0, 1)).all():
+    if not is_binary(grid.data):
         _progress(f"warning: {path} is not binary; thresholding at > {threshold:g}")
     return binarize(grid, threshold)
 
 
-def _limit_worker_memory():
-    mem_mb = os.environ.get(WORKER_MEM_ENV)
-    if mem_mb:
+def _worker_mem_mb():
+    """The per-worker address-space cap in MB from the environment, or None if unset.
+
+    Raises ValueError unless the value is a positive whole number.
+    """
+    value = os.environ.get(WORKER_MEM_ENV)
+    if not value:
+        return None
+    try:
+        mem_mb = int(value)
+    except ValueError:
+        mem_mb = 0
+    if mem_mb <= 0:
+        raise ValueError(f"{WORKER_MEM_ENV}={value!r} is not a positive whole number of megabytes")
+    return mem_mb
+
+
+def _limit_worker_memory(mem_mb):
+    if mem_mb is not None:
         import resource
 
-        limit = int(mem_mb) * 1024 * 1024
+        limit = mem_mb * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
@@ -126,13 +158,15 @@ def _eval_one(args):
         return case_id, None, f"{type(exc).__name__}: {exc}"
 
 
-def _run_cases(pairs, threshold, jobs, mode):
+def _run_cases(pairs, threshold, jobs, mode, mem_mb):
     tasks = [(cid, p, g, threshold, mode) for cid, (p, g) in sorted(pairs.items())]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_limit_worker_memory) as pool:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_limit_worker_memory, initargs=(mem_mb,)
+        ) as pool:
             raw = list(pool.map(_eval_one, tasks))
     else:
-        _limit_worker_memory()
+        _limit_worker_memory(mem_mb)
         raw = [_eval_one(t) for t in tasks]
     results = [(cid, res) for cid, res, err in raw if err is None]
     errors = [(cid, err) for cid, _, err in raw if err is not None]
@@ -160,6 +194,11 @@ def _case_csv_row(case_id: str, m: CaseMetrics) -> str:
 
 def cmd_eval(args) -> int:
     try:
+        mem_mb = _worker_mem_mb()
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return EXIT_USAGE
+    try:
         pairs = discover_pairs(args.pred_dir, args.gt_dir)
     except OSError as exc:
         _progress(f"error: {exc}")
@@ -168,7 +207,7 @@ def cmd_eval(args) -> int:
         _progress("error: no prediction/ground-truth pairs found")
         return EXIT_IO
     _progress(f"evaluating {len(pairs)} cases")
-    results, errors = _run_cases(pairs, args.threshold, args.jobs, "eval")
+    results, errors = _run_cases(pairs, args.threshold, args.jobs, "eval", mem_mb)
     for cid, err in errors:
         _progress(f"error: case {cid}: {err}")
 
@@ -195,6 +234,11 @@ def cmd_eval(args) -> int:
 
 def cmd_agree(args) -> int:
     try:
+        mem_mb = _worker_mem_mb()
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return EXIT_USAGE
+    try:
         pairs = discover_pairs(args.rater_a_dir, args.rater_b_dir)
     except OSError as exc:
         _progress(f"error: {exc}")
@@ -203,7 +247,7 @@ def cmd_agree(args) -> int:
         _progress("error: no rater pairs found")
         return EXIT_IO
     _progress(f"comparing {len(pairs)} cases")
-    results, errors = _run_cases(pairs, args.threshold, args.jobs, "agree")
+    results, errors = _run_cases(pairs, args.threshold, args.jobs, "agree", mem_mb)
     for cid, err in errors:
         _progress(f"error: case {cid}: {err}")
 
@@ -239,7 +283,7 @@ def cmd_bounds(args) -> int:
         grid = np.arange(lo, hi + step * 0.5, step)
         rows = bound_curve(grid[grid <= 1.0 + 1e-12])
         f, close = _open_out(args.out)
-        f.write("dice,vpe_lower,vpe_upper,abs_lower,abs_upper\n")
+        f.write(BOUND_CURVE_CSV_HEADER + "\n")
         for r in rows:
             f.write(
                 f"{_fmt(r['dice'])},{_fmt(r['vpe_lower'])},{_fmt(r['vpe_upper'])},"
@@ -263,11 +307,14 @@ def cmd_bounds(args) -> int:
 
     violations = []
     checked = 0
-    for row in rows:
+    for number, row in enumerate(rows, start=2):
         if not row.get("dice") or not row.get("vpe"):
             continue
-        dice = float(row["dice"])
-        vpe = float(row["vpe"])
+        try:
+            dice, vpe = _row_floats(args.audit, number, row, ("dice", "vpe"))
+        except ValueError as exc:
+            _progress(f"error: {exc}")
+            return EXIT_IO
         if dice <= 0:
             continue
         b = vpe_bounds_from_dice(dice)
@@ -398,18 +445,22 @@ def cmd_volume(args) -> int:
     except OSError as exc:
         _progress(f"error: {exc}")
         return EXIT_IO
-    triples = [
-        (float(r["gt_ml"]), float(r["pred_ml"]), float(r["dice"]), r.get("vpe"))
-        for r in rows
-        if r.get("gt_ml") and r.get("pred_ml") and r.get("dice")
-    ]
+    try:
+        triples = [
+            _row_floats(args.eval_csv, number, r, ("gt_ml", "pred_ml", "dice", "vpe"))
+            for number, r in enumerate(rows, start=2)
+            if r.get("gt_ml") and r.get("pred_ml") and r.get("dice")
+        ]
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return EXIT_IO
     if len(triples) < 2:
         _progress("error: need at least two cases with volume columns")
         return EXIT_IO
     gt = [t[0] for t in triples]
     pred = [t[1] for t in triples]
     dices = [t[2] for t in triples]
-    abs_vpes = [abs(float(t[3])) for t in triples if t[3]]
+    abs_vpes = [abs(t[3]) for t in triples if t[3] is not None]
     try:
         fit = linear_fit(gt, pred)
     except ValueError as exc:

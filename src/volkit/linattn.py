@@ -10,6 +10,8 @@ that actually ran.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import time
 from dataclasses import dataclass
 
@@ -142,11 +144,6 @@ def linear_attention_backward(t: AttentionTensors, upstream: np.ndarray) -> Atte
     return AttentionGradients(dq=dq, dk=dk, dv=dv)
 
 
-def project_tokens(x: np.ndarray, wq: np.ndarray, wk: np.ndarray, wv: np.ndarray) -> AttentionTensors:
-    """Apply caller-supplied linear projections to raw tokens."""
-    return AttentionTensors(q=x @ wq, k=x @ wk, v=x @ wv)
-
-
 def flatten_feature_map(vol: np.ndarray) -> np.ndarray:
     """Flatten a D x H x W x C feature map into an n x C token matrix.
 
@@ -177,10 +174,52 @@ def _limit_blas_threads():
         from threadpoolctl import threadpool_limits
 
         return threadpool_limits(limits=1)
-    except ImportError:  # timing is then subject to BLAS threading noise
-        import contextlib
+    except ImportError:
+        return _openblas_single_thread()
 
-        return contextlib.nullcontext()
+
+def _openblas_thread_apis() -> list:
+    """(get, set) thread-count functions of every OpenBLAS loaded in this process.
+
+    Looks the libraries up in /proc/self/maps and their symbols under the
+    names plain and scipy-openblas builds export; empty elsewhere.
+    """
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return []
+    apis = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and put is not None:
+                    apis.append((get, put))
+    return apis
+
+
+@contextlib.contextmanager
+def _openblas_single_thread():
+    """Pin OpenBLAS to one thread for the block when threadpoolctl is absent.
+
+    Unpinned, numpy's OpenBLAS hands even small products to worker threads;
+    on a shared 2-vCPU VM their wake-up after an idle spell made the first
+    one to two seconds of timings 40x slower, which skews fitted slopes.
+    """
+    saved = [(put, get()) for get, put in _openblas_thread_apis()]
+    for put, _ in saved:
+        put(1)
+    try:
+        yield
+    finally:
+        for put, threads in saved:
+            put(threads)
 
 
 def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) -> list[dict]:

@@ -19,11 +19,20 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .volgrid import BinaryMask, mask_volume_ml
 
 _SPACING_RTOL = 1e-6
+
+
+def __getattr__(name):
+    # scipy.ndimage is imported on first use so that commands without a
+    # distance transform do not pay for it; ``segmetrics.ndimage`` still resolves.
+    if name == "ndimage":
+        from scipy import ndimage
+
+        return ndimage
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UndefinedMetricError(Exception):
@@ -142,17 +151,40 @@ def edt(mask: BinaryMask) -> np.ndarray:
     Distances are between voxel centers; surface voxels map to 0. Backed by
     the separable exact Euclidean distance transform.
     """
+    from scipy import ndimage
+
     surface = _surface_bool(mask)
     if not surface.any():
         raise UndefinedMetricError("distance field of an empty mask is undefined")
     return ndimage.distance_transform_edt(~surface, sampling=mask.spacing)
 
 
+def _distances_at(surface: np.ndarray, spacing, at: np.ndarray) -> np.ndarray:
+    """``edt()`` of ``surface`` read at the voxels where ``at`` is set.
+
+    Runs the same exact feature transform as :func:`edt` but keeps only the
+    nearest-surface indices, then finishes scipy's distance arithmetic
+    (difference, cast, per-axis scale, square, sum over axes, sqrt) at the
+    requested voxels alone, so the values are bit-identical to the full field.
+    """
+    from scipy import ndimage
+
+    idx = np.nonzero(at)
+    nearest = ndimage.distance_transform_edt(
+        ~surface, sampling=spacing, return_distances=False, return_indices=True
+    )[(slice(None), *idx)]
+    delta = (nearest - np.stack(idx)).astype(np.float64)
+    for axis, step in enumerate(np.asarray(spacing, dtype=np.float64)):
+        delta[axis] *= step
+    np.multiply(delta, delta, delta)
+    return np.sqrt(np.add.reduce(delta, axis=0))
+
+
 def _pooled_surface_distances(pred: BinaryMask, gt: BinaryMask) -> np.ndarray:
     pred_surface = _surface_bool(pred)
     gt_surface = _surface_bool(gt)
-    pred_to_gt = edt(gt)[pred_surface]
-    gt_to_pred = edt(pred)[gt_surface]
+    pred_to_gt = _distances_at(gt_surface, gt.spacing, pred_surface)
+    gt_to_pred = _distances_at(pred_surface, pred.spacing, gt_surface)
     return np.concatenate([pred_to_gt, gt_to_pred])
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,6 +73,13 @@ class VolumeGrid:
         )
 
 
+def is_binary(data: np.ndarray) -> bool:
+    """True iff every voxel is exactly 0 or 1 (-0.0 counts as 0, NaN as neither)."""
+    if data.dtype.kind in "biu":
+        return bool(data.min() >= 0 and data.max() <= 1)
+    return bool(((data == 0) | (data == 1)).all())
+
+
 @dataclass(frozen=True)
 class BinaryMask:
     """A VolumeGrid whose voxels are exactly 0 or 1."""
@@ -80,8 +87,7 @@ class BinaryMask:
     grid: VolumeGrid
 
     def __post_init__(self):
-        vals = self.grid.data
-        if not np.isin(vals, (0, 1)).all():
+        if not is_binary(self.grid.data):
             raise ValueError("mask voxels must all be exactly 0 or 1")
 
     @property
@@ -156,6 +162,8 @@ def load_nifti(path) -> VolumeGrid:
     slope, inter = struct.unpack_from(byte_order + "2f", raw, 112)
 
     offset = int(vox_offset)
+    if offset < _VOX_OFFSET:
+        raise NiftiError(f"vox_offset {vox_offset:g} lies inside the header; must be >= {_VOX_OFFSET}")
     n_voxels = nx * ny * nz
     need = offset + n_voxels * dtype.itemsize
     if len(raw) < need:
@@ -197,7 +205,9 @@ def binarize(grid: VolumeGrid, threshold: float) -> BinaryMask:
     """Threshold a grid into a mask: voxel -> 1 iff value > threshold."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    data = (np.asarray(grid.data, dtype=np.float64) > threshold).astype(np.uint8)
+    # A float64 scalar keeps the comparison in float64 for every input dtype
+    # (a Python float would be cast to float32 against float32 data).
+    data = np.greater(grid.data, np.float64(threshold)).astype(np.uint8)
     return BinaryMask(VolumeGrid(data=data, spacing=grid.spacing))
 
 

@@ -1,12 +1,17 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_mask
 from phantom import generate_phantom_dataset
-from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
+import volkit
+from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, main
 from volkit.volgrid import VolumeGrid, write_nifti
 
 
@@ -100,6 +105,17 @@ class TestEval:
             row = next(csv.DictReader(f))
         assert row["dice"] == "1"
 
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("value", ["lots", "1.5", "0"])
+    def test_bad_worker_mem_is_usage_error(self, tmp_path, monkeypatch, capsys, command, jobs, value):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        monkeypatch.setenv(WORKER_MEM_ENV, value)
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", jobs]) == EXIT_USAGE
+        assert WORKER_MEM_ENV in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAgree:
     def test_identical_raters(self, tmp_path):
@@ -169,6 +185,19 @@ class TestBounds:
         bad.write_text("foo,bar\n1,2\n")
         assert main(["bounds", "--audit", str(bad), "--out", "-"]) == EXIT_IO
 
+    def test_audit_non_numeric_cell(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "ok,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
+            "broken,0.9x,0.81,1,1,0,0,1.1,1,0.1\n"
+        )
+        report = tmp_path / "a.json"
+        assert main(["bounds", "--audit", str(bad), "--out", str(report)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "row 3" in err and "broken" in err and "Traceback" not in err
+        assert not report.exists()
+
 
 class TestAttnCheck:
     def test_default_run_passes(self):
@@ -225,6 +254,52 @@ class TestVolume:
             "c0,1,1,1,1,0,0,1,1,0\n"
         )
         assert main(["volume", str(path), "--out", "-"]) == EXIT_IO
+
+    def test_non_numeric_cell(self, tmp_path, capsys):
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "c0,1,1,1,1,0,0,1,1,0\n"
+            "c1,1,1,1,1,0,0,2,2,0\n"
+            "c2,1,1,1,1,0,0,3,n/a,0\n"
+        )
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "row 4" in err and "c2" in err
+        assert not out.exists()
+
+    def test_non_numeric_vpe(self, tmp_path, capsys):
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "c0,1,1,1,1,0,0,1,1,0\n"
+            "c1,1,1,1,1,0,0,2,2,zero\n"
+        )
+        assert main(["volume", str(path), "--out", "-"]) == EXIT_IO
+        assert "row 3" in capsys.readouterr().err
+
+
+class TestStartup:
+    def test_import_leaves_scipy_ndimage_unloaded(self):
+        code = (
+            "import sys\n"
+            "import volkit.cli\n"
+            "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage imported eagerly'\n"
+            "from volkit import segmetrics\n"
+            "assert callable(segmetrics.ndimage.distance_transform_edt)\n"
+            "assert 'scipy.ndimage' in sys.modules\n"
+        )
+        src = str(Path(volkit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_unknown_module_attribute_still_raises(self):
+        from volkit import segmetrics
+
+        with pytest.raises(AttributeError):
+            segmetrics.no_such_name
 
 
 class TestDeterminism:

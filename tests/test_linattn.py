@@ -218,3 +218,14 @@ class TestBench:
         ns = [256, 1024, 4096]
         assert fit_loglog_slope(ns, [n**2 * 1e-9 for n in ns]) == pytest.approx(2.0)
         assert fit_loglog_slope(ns, [n * 1e-9 for n in ns]) == pytest.approx(1.0)
+
+    def test_blas_pinned_to_one_thread_and_restored(self):
+        from volkit import linattn
+
+        apis = linattn._openblas_thread_apis()
+        if not apis:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        before = [get() for get, _ in apis]
+        with linattn._limit_blas_threads():
+            assert [get() for get, _ in apis] == [1] * len(apis)
+        assert [get() for get, _ in apis] == before

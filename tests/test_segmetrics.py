@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_mask, random_mask, random_nonempty_mask
 from oracles import brute_boundary_metrics, brute_edt, brute_surface
@@ -14,6 +16,7 @@ from volkit.segmetrics import (
     extract_surface,
     region_metrics,
 )
+from volkit.segmetrics import _pooled_surface_distances, _surface_bool
 
 
 def fixture_3x3x1():
@@ -181,6 +184,47 @@ class TestBoundaryMetrics:
             got = boundary_metrics(pred, gt)
             want = brute_boundary_metrics(pred.data, gt.data, spacing)
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+def field_path_pooled(pred, gt):
+    """Pooled distances read from the two full distance fields of edt()."""
+    return np.concatenate([edt(gt)[_surface_bool(pred)], edt(pred)[_surface_bool(gt)]])
+
+
+@st.composite
+def anisotropic_mask_pairs(draw):
+    dims = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from([0.5, 0.8, 1.0, 1.5, 2.0, 2.5, 0.3125, 0.7])) for _ in range(3))
+    masks = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["random", "one_voxel", "full", "box"]))
+        data = np.zeros(dims, dtype=np.uint8)
+        if kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            data[...] = rng.random(dims) < draw(st.floats(0.05, 0.95))
+            if not data.any():
+                data[tuple(d - 1 for d in dims)] = 1
+        elif kind == "one_voxel":
+            data[tuple(draw(st.integers(0, d - 1)) for d in dims)] = 1
+        elif kind == "full":  # every face touches the grid border
+            data[...] = 1
+        else:  # an axis-aligned box, touching the border when lo is 0 or hi is d
+            lo = [draw(st.integers(0, d - 1)) for d in dims]
+            hi = [draw(st.integers(a + 1, d)) for a, d in zip(lo, dims)]
+            data[tuple(slice(a, b) for a, b in zip(lo, hi))] = 1
+        masks.append(make_mask(data, spacing))
+    return masks
+
+
+class TestPooledSurfaceDistances:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(anisotropic_mask_pairs())
+    def test_bytes_equal_full_field_path(self, pair):
+        pred, gt = pair
+        got = _pooled_surface_distances(pred, gt)
+        want = field_path_pooled(pred, gt)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCohenKappa:

@@ -9,6 +9,7 @@ from volkit.volgrid import (
     NiftiError,
     VolumeGrid,
     binarize,
+    is_binary,
     load_nifti,
     mask_volume_ml,
     write_nifti,
@@ -46,6 +47,11 @@ class TestVolumeGrid:
     def test_binary_mask_rejects_other_values(self):
         with pytest.raises(ValueError):
             BinaryMask(VolumeGrid(data=np.full((2, 2, 2), 2, dtype=np.uint8), spacing=(1, 1, 1)))
+
+    def test_binary_mask_rejects_negative_and_nan(self):
+        for data in (np.array([[[0, -1]]], dtype=np.int16), np.array([[[0.0, np.nan]]])):
+            with pytest.raises(ValueError):
+                BinaryMask(VolumeGrid(data=data, spacing=(1, 1, 1)))
 
 
 class TestNiftiRoundTrip:
@@ -162,6 +168,18 @@ class TestNiftiErrors:
         with pytest.raises(NiftiError, match="dim"):
             load_nifti(path)
 
+    @pytest.mark.parametrize("vox_offset", [0.0, 348.0, 351.0])
+    def test_vox_offset_inside_header_rejected(self, tmp_path, vox_offset):
+        # with vox_offset 0 the header bytes would be read as voxels (first voxel = 92)
+        raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1)))
+        import struct
+
+        struct.pack_into("<f", raw, 108, vox_offset)
+        path = tmp_path / "offset.nii"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match="vox_offset"):
+            load_nifti(path)
+
     def test_singleton_4d_accepted(self, tmp_path):
         raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1)))
         import struct
@@ -207,6 +225,32 @@ class TestBinarize:
             cur = binarize(g, thr).foreground_count()
             assert cur <= prev
             prev = cur
+
+    def test_float32_compared_in_float64(self):
+        # float32(0.1) lies above 0.1; a float32 comparison would drop it
+        f32 = np.float32(0.1)
+        data = np.random.default_rng(6).random((6, 7, 8)).astype(np.float32)
+        data[0, 0, :3] = np.nextafter(f32, np.float32(0)), f32, np.nextafter(f32, np.float32(1))
+        got = binarize(VolumeGrid(data=data, spacing=(1, 1, 1)), 0.1).data
+        assert got[0, 0, :3].tolist() == [0, 1, 1]
+        assert np.array_equal(got, (data.astype(np.float64) > 0.1).astype(np.uint8))
+
+
+class TestIsBinary:
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_zero_one_accepted(self, dtype):
+        assert is_binary(np.array([[[0, 1, 1, 0]]], dtype=dtype))
+        assert is_binary(np.zeros((2, 2, 2), dtype=dtype))
+        assert is_binary(np.ones((2, 2, 2), dtype=dtype))
+
+    @pytest.mark.parametrize("value", [-1, 2])
+    def test_int16_out_of_range_rejected(self, value):
+        assert not is_binary(np.array([[[0, 1, value]]], dtype=np.int16))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("value,expected", [(0.5, False), (np.nan, False), (-0.0, True)])
+    def test_float_values(self, dtype, value, expected):
+        assert is_binary(np.array([[[0, 1, value]]], dtype=dtype)) is expected
 
 
 class TestMaskVolume:
