@@ -12,6 +12,7 @@ with 6 significant digits; JSON keeps full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -57,10 +58,14 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _open_out(out: str):
+@contextlib.contextmanager
+def _output(out: str):
+    """The file named by ``--out`` for writing; ``-`` is stdout, left open."""
     if out == "-":
-        return sys.stdout, False
-    return open(out, "w", newline=""), True
+        yield sys.stdout
+    else:
+        with open(out, "w", newline="") as f:
+            yield f
 
 
 def _dump_json(obj) -> str:
@@ -154,7 +159,7 @@ def _eval_one(args):
         except UndefinedMetricError:
             kappa = None
         return case_id, (dice, kappa), None
-    except (NiftiError, ValueError, OSError, UndefinedMetricError) as exc:
+    except (NiftiError, ValueError, OSError, UndefinedMetricError, MemoryError) as exc:
         return case_id, None, f"{type(exc).__name__}: {exc}"
 
 
@@ -282,15 +287,13 @@ def cmd_bounds(args) -> int:
             return EXIT_USAGE
         grid = np.arange(lo, hi + step * 0.5, step)
         rows = bound_curve(grid[grid <= 1.0 + 1e-12])
-        f, close = _open_out(args.out)
-        f.write(BOUND_CURVE_CSV_HEADER + "\n")
-        for r in rows:
-            f.write(
-                f"{_fmt(r['dice'])},{_fmt(r['vpe_lower'])},{_fmt(r['vpe_upper'])},"
-                f"{_fmt(r['abs_lower'])},{_fmt(r['abs_upper'])}\n"
-            )
-        if close:
-            f.close()
+        with _output(args.out) as f:
+            f.write(BOUND_CURVE_CSV_HEADER + "\n")
+            for r in rows:
+                f.write(
+                    f"{_fmt(r['dice'])},{_fmt(r['vpe_lower'])},{_fmt(r['vpe_upper'])},"
+                    f"{_fmt(r['abs_lower'])},{_fmt(r['abs_upper'])}\n"
+                )
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
@@ -325,10 +328,8 @@ def cmd_bounds(args) -> int:
                  "lower": b.lower, "upper": b.upper}
             )
     report = {"checked": checked, "violations": violations}
-    f, close = _open_out(args.out)
-    f.write(_dump_json(report))
-    if close:
-        f.close()
+    with _output(args.out) as f:
+        f.write(_dump_json(report))
     if violations:
         _progress(f"error: {len(violations)} bound violations (metric implementation bug)")
         return EXIT_CHECK
@@ -422,19 +423,17 @@ def cmd_attn_bench(args) -> int:
         return EXIT_USAGE
     variants = ("quadratic", "linear") if args.variant == "both" else (args.variant,)
     rows = linattn.bench_attention(n_list, args.d, args.repeats, seed=args.seed, variants=variants)
-    f, close = _open_out(args.out)
-    f.write("n,d,variant,median_seconds,flops\n")
-    for r in rows:
-        f.write(f"{r['n']},{r['d']},{r['variant']},{_fmt(r['median_seconds'])},{r['flops']}\n")
-    for variant in ("quadratic", "linear"):
-        sub = [r for r in rows if r["variant"] == variant]
-        if len(sub) >= 2:
-            slope = linattn.fit_loglog_slope(
-                [r["n"] for r in sub], [r["median_seconds"] for r in sub]
-            )
-            f.write(f"slope,{args.d},{variant},{_fmt(slope)},\n")
-    if close:
-        f.close()
+    with _output(args.out) as f:
+        f.write("n,d,variant,median_seconds,flops\n")
+        for r in rows:
+            f.write(f"{r['n']},{r['d']},{r['variant']},{_fmt(r['median_seconds'])},{r['flops']}\n")
+        for variant in ("quadratic", "linear"):
+            sub = [r for r in rows if r["variant"] == variant]
+            if len(sub) >= 2:
+                slope = linattn.fit_loglog_slope(
+                    [r["n"] for r in sub], [r["median_seconds"] for r in sub]
+                )
+                f.write(f"slope,{args.d},{variant},{_fmt(slope)},\n")
     return EXIT_OK
 
 
@@ -479,10 +478,8 @@ def cmd_volume(args) -> int:
         bound = avpe_bound(mean_dice)
         result["avpe_bound"] = bound
         result["avpe_bound_satisfied"] = bool(result["mean_abs_vpe"] <= bound + _AUDIT_TOL)
-    f, close = _open_out(args.out)
-    f.write(_dump_json(result))
-    if close:
-        f.close()
+    with _output(args.out) as f:
+        f.write(_dump_json(result))
     return EXIT_OK
 
 

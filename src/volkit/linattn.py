@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import math
 import time
 from dataclasses import dataclass
 
@@ -65,18 +66,24 @@ def _as_float(m: np.ndarray) -> np.ndarray:
     return m if m.dtype == np.float32 else m.astype(np.float64, copy=False)
 
 
+def _softmax(m: np.ndarray, axis: int) -> np.ndarray:
+    # One full-size allocation (the max subtraction); exp and the division
+    # then run in place on it, so the argument is never modified.
+    m = _as_float(m)
+    e = m - m.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Softmax along each row, stabilized by per-row max subtraction."""
-    m = _as_float(m)
-    e = np.exp(m - m.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return _softmax(m, 1)
 
 
 def softmax_cols(m: np.ndarray) -> np.ndarray:
     """Softmax along each column, stabilized by per-column max subtraction."""
-    m = _as_float(m)
-    e = np.exp(m - m.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    return _softmax(m, 0)
 
 
 def attention_cost(n: int, d: int, variant: str) -> int:
@@ -97,7 +104,10 @@ def attention_cost(n: int, d: int, variant: str) -> int:
 
 def quadratic_attention(t: AttentionTensors) -> AttentionOutput:
     """Reference attention with scaled-dot-product softmax similarity."""
-    scores = (t.q @ t.k.T) / np.sqrt(t.d)
+    scores = _as_float(t.q @ t.k.T)
+    # A Python float keeps float32 scores in float32 (a numpy float64 scalar
+    # would promote them); for float64 it is the same IEEE square root.
+    scores /= math.sqrt(t.d)
     weights = softmax_rows(scores)
     return AttentionOutput(out=weights @ t.v, flops=attention_cost(t.n, t.d, "quadratic"))
 
@@ -227,9 +237,10 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
 
     Returns one row per (n, variant) with the median wall time of `repeats`
     single-threaded invocations in float32 (verification stays in float64;
-    benchmarking uses the cheaper dtype). `variants` restricts which kernels
-    run; the quadratic one needs an n-by-n intermediate, so skip it for
-    token counts where that matrix would not fit in memory.
+    benchmarking uses the cheaper dtype); both kernels keep float32 inputs in
+    float32 throughout, scaling and softmax included. `variants` restricts
+    which kernels run; the quadratic one needs an n-by-n intermediate, so
+    skip it for token counts where that matrix would not fit in memory.
     """
     if repeats < 3:
         raise ValueError("need repeats >= 3 for a stable median")

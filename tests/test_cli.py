@@ -116,6 +116,31 @@ class TestEval:
         assert WORKER_MEM_ENV in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,target", [("eval", "evaluate_case"), ("agree", "cohen_kappa")])
+    def test_worker_memory_error_fails_only_that_case(self, tmp_path, monkeypatch, capsys, command, target):
+        import volkit.cli as cli
+
+        real = getattr(cli, target)
+        calls = []
+
+        def first_call_runs_out_of_memory(*args):
+            calls.append(1)
+            if len(calls) == 1:
+                raise MemoryError("Unable to allocate 630. MiB")
+            return real(*args)
+
+        monkeypatch.setattr(cli, target, first_call_runs_out_of_memory)
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", "1"]) == EXIT_PARTIAL
+        assert "case alpha: MemoryError" in capsys.readouterr().err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_cases"] == ["alpha"]
+        assert summary["n_cases"] == 1
+        csv_name = "cases.csv" if command == "eval" else "agreement.csv"
+        rows = (out / csv_name).read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["beta"]
+
 
 class TestAgree:
     def test_identical_raters(self, tmp_path):
@@ -157,6 +182,15 @@ class TestBounds:
         cells = lines[1].split(",")
         assert float(cells[2]) == pytest.approx(0.12766, abs=1e-5)
         assert float(cells[1]) == pytest.approx(-0.11321, abs=1e-5)
+
+    def test_curve_to_stdout_leaves_it_open(self, tmp_path, capsys):
+        path = tmp_path / "curve.csv"
+        args = ["bounds", "--curve", "0.5", "0.9", "0.1"]
+        assert main([*args, "--out", str(path)]) == EXIT_OK
+        assert main([*args, "--out", "-"]) == EXIT_OK
+        assert not sys.stdout.closed
+        assert capsys.readouterr().out == path.read_text()
+        assert path.read_text().startswith("dice,vpe_lower,")
 
     def test_bad_step_usage_error(self, tmp_path):
         assert main(["bounds", "--curve", "0.5", "0.9", "0"]) == EXIT_USAGE

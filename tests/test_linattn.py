@@ -126,6 +126,62 @@ class TestLinearAttention:
             np.testing.assert_allclose(kernel(tp).out, kernel(t).out[perm], atol=1e-12)
 
 
+# Straightforward forms of the kernels, one temporary per op: the float64
+# results of the in-place kernels must match them bit for bit.
+def _reference_softmax(m, axis):
+    e = np.exp(m - m.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _reference_quadratic(q, k, v):
+    scores = (q @ k.T) / np.sqrt(q.shape[1])
+    return _reference_softmax(scores, 1) @ v
+
+
+def _reference_linear(q, k, v):
+    return _reference_softmax(q, 1) @ (_reference_softmax(k, 0).T @ v)
+
+
+class TestInPlaceKernels:
+    SHAPES = [(1, 1), (2, 3), (7, 5), (33, 16), (64, 7), (50, 12), (17, 64)]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_float64_bit_identical_to_reference(self, n, d):
+        rng = np.random.default_rng(n * 100 + d)
+        t = random_tensors(rng, n, d)
+        m = rng.standard_normal((n, d)) * 20
+        assert np.array_equal(softmax_rows(m), _reference_softmax(m, 1))
+        assert np.array_equal(softmax_cols(m), _reference_softmax(m, 0))
+        assert np.array_equal(quadratic_attention(t).out, _reference_quadratic(t.q, t.k, t.v))
+        assert np.array_equal(linear_attention(t).out, _reference_linear(t.q, t.k, t.v))
+
+    def test_integer_inputs_run_in_float64(self):
+        rng = np.random.default_rng(10)
+        q, k, v = (rng.integers(-3, 4, size=(6, 5)) for _ in range(3))
+        t = AttentionTensors(q=q, k=k, v=v)
+        assert np.array_equal(quadratic_attention(t).out, _reference_quadratic(q, k, v))
+        assert np.array_equal(linear_attention(t).out, _reference_linear(q, k, v))
+
+    @pytest.mark.parametrize("kernel", [quadratic_attention, linear_attention])
+    def test_float32_stays_float32(self, kernel):
+        rng = np.random.default_rng(11)
+        t = random_tensors(rng, 256, 12)
+        t32 = AttentionTensors(*(m.astype(np.float32) for m in (t.q, t.k, t.v)))
+        same_values = AttentionTensors(*(m.astype(np.float64) for m in (t32.q, t32.k, t32.v)))
+        out32 = kernel(t32).out
+        assert out32.dtype == np.float32
+        np.testing.assert_allclose(out32, kernel(same_values).out, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("softmax", [softmax_rows, softmax_cols])
+    def test_softmax_leaves_argument_unchanged(self, softmax, dtype):
+        m = np.random.default_rng(12).standard_normal((9, 4)).astype(dtype)
+        before = m.copy()
+        out = softmax(m)
+        assert out.dtype == dtype
+        assert np.array_equal(m, before)
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(10)
