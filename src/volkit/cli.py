@@ -90,6 +90,20 @@ def _row_floats(path, number: int, row: dict, keys) -> list:
     return out
 
 
+def _read_csv(path):
+    """The header and rows of CSV ``path``, or None after reporting why it cannot be read."""
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        return reader.fieldnames, rows
+    except OSError as exc:
+        _progress(f"error: {exc}")
+    except (UnicodeError, csv.Error) as exc:
+        _progress(f"error: {path} is not a readable CSV: {exc}")
+    return None
+
+
 # --- dataset discovery and per-case evaluation --------------------------
 
 
@@ -297,15 +311,12 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
-    try:
-        with open(args.audit, newline="") as f:
-            reader = csv.DictReader(f)
-            if reader.fieldnames is None or "dice" not in reader.fieldnames:
-                _progress(f"error: {args.audit} is not an eval CSV")
-                return EXIT_IO
-            rows = list(reader)
-    except OSError as exc:
-        _progress(f"error: {exc}")
+    table = _read_csv(args.audit)
+    if table is None:
+        return EXIT_IO
+    fieldnames, rows = table
+    if fieldnames is None or "dice" not in fieldnames:
+        _progress(f"error: {args.audit} is not an eval CSV")
         return EXIT_IO
 
     violations = []
@@ -399,6 +410,9 @@ def _attn_checks(n, d, seed, trials, inject_fault):
 
 
 def cmd_attn_check(args) -> int:
+    if min(args.n, args.d, args.trials) < 1:
+        _progress("error: n, d and trials must be >= 1")
+        return EXIT_USAGE
     if args.n > 4096:
         _progress("error: n capped at 4096 for unfactored comparisons")
         return EXIT_USAGE
@@ -417,9 +431,13 @@ def cmd_attn_check(args) -> int:
 
 
 def cmd_attn_bench(args) -> int:
-    n_list = [int(s) for s in args.n_list.split(",") if s]
-    if not n_list or args.repeats < 3:
-        _progress("error: need a non-empty n list and repeats >= 3")
+    try:
+        n_list = [int(s) for s in args.n_list.split(",") if s]
+    except ValueError:
+        n_list = []
+    if not n_list or min(n_list) < 1 or args.d < 1 or args.repeats < 3:
+        _progress(f"error: need --n-list of positive integers (got {args.n_list!r}), "
+                  "d >= 1 and repeats >= 3")
         return EXIT_USAGE
     variants = ("quadratic", "linear") if args.variant == "both" else (args.variant,)
     rows = linattn.bench_attention(n_list, args.d, args.repeats, seed=args.seed, variants=variants)
@@ -438,12 +456,10 @@ def cmd_attn_bench(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    try:
-        with open(args.eval_csv, newline="") as f:
-            rows = list(csv.DictReader(f))
-    except OSError as exc:
-        _progress(f"error: {exc}")
+    table = _read_csv(args.eval_csv)
+    if table is None:
         return EXIT_IO
+    _, rows = table
     try:
         triples = [
             _row_floats(args.eval_csv, number, r, ("gt_ml", "pred_ml", "dice", "vpe"))

@@ -235,13 +235,19 @@ def _openblas_single_thread():
 def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) -> list[dict]:
     """Time the kernels over a range of token counts.
 
-    Returns one row per (n, variant) with the median wall time of `repeats`
-    single-threaded invocations in float32 (verification stays in float64;
-    benchmarking uses the cheaper dtype); both kernels keep float32 inputs in
-    float32 throughout, scaling and softmax included. `variants` restricts
-    which kernels run; the quadratic one needs an n-by-n intermediate, so
-    skip it for token counts where that matrix would not fit in memory.
+    Returns one row per (n, variant), in `n_list` order, with the median wall
+    time of `repeats` single-threaded invocations in float32 (verification
+    stays in float64; benchmarking uses the cheaper dtype); both kernels keep
+    float32 inputs in float32 throughout, scaling and softmax included. Q, K
+    and V are float32 standard normals drawn once from `seed` at the largest
+    n; each smaller n times the leading n rows of that draw, which are
+    C-contiguous views, not copies. `variants` restricts which kernels run;
+    the quadratic one needs an n-by-n intermediate, so skip it for token
+    counts where that matrix would not fit in memory.
     """
+    n_list = list(n_list)
+    if not n_list or min(n_list) < 1 or d < 1:
+        raise ValueError(f"need a non-empty n_list of n >= 1 and d >= 1, got {n_list} and {d}")
     if repeats < 3:
         raise ValueError("need repeats >= 3 for a stable median")
     if variants is None:
@@ -250,13 +256,11 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
     if unknown:
         raise ValueError(f"unknown variants {sorted(unknown)!r}")
     rng = np.random.default_rng(seed)
+    q, k, v = (rng.standard_normal((max(n_list), d), dtype=np.float32) for _ in "qkv")
     rows = []
     with _limit_blas_threads():
         for n in n_list:
-            q = rng.standard_normal((n, d)).astype(np.float32)
-            k = rng.standard_normal((n, d)).astype(np.float32)
-            v = rng.standard_normal((n, d)).astype(np.float32)
-            t = AttentionTensors(q=q, k=k, v=v)
+            t = AttentionTensors(q=q[:n], k=k[:n], v=v[:n])
             for variant in variants:
                 kernel = _KERNELS[variant]
                 times = []

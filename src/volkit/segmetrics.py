@@ -93,8 +93,8 @@ CASE_METRIC_FIELDS = (
 def _check_compatible(a: BinaryMask, b: BinaryMask):
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    sa, sb = np.asarray(a.spacing), np.asarray(b.spacing)
-    if not np.allclose(sa, sb, rtol=_SPACING_RTOL, atol=0.0):
+    # np.allclose(rtol=_SPACING_RTOL, atol=0) on two 3-tuples, in plain Python
+    if not all(abs(x - y) <= _SPACING_RTOL * abs(y) for x, y in zip(a.spacing, b.spacing)):
         raise ValueError(f"spacing mismatch: {a.spacing} vs {b.spacing}")
 
 
@@ -123,10 +123,32 @@ def region_metrics(c: ConfusionCounts) -> RegionMetrics:
     return RegionMetrics(dice=dice, jaccard=jaccard, precision=precision, recall=recall)
 
 
-def _surface_bool(mask: BinaryMask) -> np.ndarray:
-    fg = mask.data.astype(bool)
+def _bounding_box(data: np.ndarray):
+    """Slices of the smallest box holding every nonzero voxel; None if there is none."""
+    xy = data.any(axis=2)
+    hits = [np.flatnonzero(xy.any(axis=1)), np.flatnonzero(xy.any(axis=0)),
+            np.flatnonzero(data.any(axis=(0, 1)))]
+    if not hits[2].size:
+        return None
+    return tuple(slice(int(h[0]), int(h[-1]) + 1) for h in hits)
+
+
+def _surface(mask: BinaryMask) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The mask's surface on the full grid, and its voxels in ``np.nonzero`` order.
+
+    Both are computed inside the mask's bounding box, whose outside holds no
+    foreground and so no surface; the indices are shifted by the box offset,
+    which keeps their row-major order. The full-grid array has the mask's
+    memory layout.
+    """
+    surface = np.zeros_like(mask.data, dtype=bool)
+    box = _bounding_box(mask.data)
+    if box is None:
+        return surface, np.nonzero(surface)
+    fg = mask.data[box].astype(bool)
     # A foreground voxel is on the surface iff any of its 6 face neighbors is
-    # background; padding makes the grid border count as background.
+    # background; padding makes the box border, and so the grid border, count
+    # as background.
     padded = np.pad(fg, 1, constant_values=False)
     interior = np.ones_like(fg)
     for axis in range(3):
@@ -135,14 +157,16 @@ def _surface_bool(mask: BinaryMask) -> np.ndarray:
         lo[axis] = slice(0, -2)
         hi[axis] = slice(2, None)
         interior &= padded[tuple(lo)] & padded[tuple(hi)]
-    return fg & ~interior
+    inner = fg & ~interior
+    surface[box] = inner
+    return surface, tuple(i + b.start for i, b in zip(np.nonzero(inner), box))
 
 
 def extract_surface(mask: BinaryMask) -> np.ndarray:
     """Integer (x, y, z) coordinates of the mask's 6-connectivity surface."""
     if mask.foreground_count() == 0:
         raise UndefinedMetricError("surface of an empty mask is undefined")
-    return np.argwhere(_surface_bool(mask))
+    return np.transpose(_surface(mask)[1])  # np.argwhere's own definition
 
 
 def edt(mask: BinaryMask) -> np.ndarray:
@@ -153,14 +177,14 @@ def edt(mask: BinaryMask) -> np.ndarray:
     """
     from scipy import ndimage
 
-    surface = _surface_bool(mask)
+    surface, _ = _surface(mask)
     if not surface.any():
         raise UndefinedMetricError("distance field of an empty mask is undefined")
     return ndimage.distance_transform_edt(~surface, sampling=mask.spacing)
 
 
-def _distances_at(surface: np.ndarray, spacing, at: np.ndarray) -> np.ndarray:
-    """``edt()`` of ``surface`` read at the voxels where ``at`` is set.
+def _distances_at(surface: np.ndarray, spacing, idx: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``edt()`` of ``surface`` read at the voxels with coordinates ``idx``.
 
     Runs the same exact feature transform as :func:`edt` but keeps only the
     nearest-surface indices, then finishes scipy's distance arithmetic
@@ -169,7 +193,6 @@ def _distances_at(surface: np.ndarray, spacing, at: np.ndarray) -> np.ndarray:
     """
     from scipy import ndimage
 
-    idx = np.nonzero(at)
     nearest = ndimage.distance_transform_edt(
         ~surface, sampling=spacing, return_distances=False, return_indices=True
     )[(slice(None), *idx)]
@@ -181,10 +204,10 @@ def _distances_at(surface: np.ndarray, spacing, at: np.ndarray) -> np.ndarray:
 
 
 def _pooled_surface_distances(pred: BinaryMask, gt: BinaryMask) -> np.ndarray:
-    pred_surface = _surface_bool(pred)
-    gt_surface = _surface_bool(gt)
-    pred_to_gt = _distances_at(gt_surface, gt.spacing, pred_surface)
-    gt_to_pred = _distances_at(pred_surface, pred.spacing, gt_surface)
+    pred_surface, pred_idx = _surface(pred)
+    gt_surface, gt_idx = _surface(gt)
+    pred_to_gt = _distances_at(gt_surface, gt.spacing, pred_idx)
+    gt_to_pred = _distances_at(pred_surface, pred.spacing, gt_idx)
     return np.concatenate([pred_to_gt, gt_to_pred])
 
 

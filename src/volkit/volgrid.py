@@ -170,7 +170,9 @@ def load_nifti(path) -> VolumeGrid:
         raise NiftiError(f"truncated payload: need {need} bytes, have {len(raw)}")
 
     flat = np.frombuffer(raw, dtype=dtype, count=n_voxels, offset=offset)
-    data = flat.reshape((nx, ny, nz), order="F").astype(dtype.newbyteorder("="))
+    # A read-only view of the file's bytes, copied only to swap the byte order
+    # or to align a payload at an odd vox_offset.
+    data = np.require(flat.reshape((nx, ny, nz), order="F"), dtype=dtype.newbyteorder("="), requirements="A")
     if slope != 0.0 and (slope, inter) != (1.0, 0.0):
         data = data.astype(np.float64) * slope + inter
     return VolumeGrid(data=data, spacing=spacing)
@@ -207,7 +209,7 @@ def binarize(grid: VolumeGrid, threshold: float) -> BinaryMask:
         raise ValueError("threshold must be finite")
     # A float64 scalar keeps the comparison in float64 for every input dtype
     # (a Python float would be cast to float32 against float32 data).
-    data = np.greater(grid.data, np.float64(threshold)).astype(np.uint8)
+    data = np.greater(grid.data, np.float64(threshold)).view(np.uint8)
     return BinaryMask(VolumeGrid(data=data, spacing=grid.spacing))
 
 

@@ -232,6 +232,18 @@ class TestBounds:
         assert "row 3" in err and "broken" in err and "Traceback" not in err
         assert not report.exists()
 
+    def test_audit_csv_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(
+            b"case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            b"caf\xff,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
+        )
+        report = tmp_path / "a.json"
+        assert main(["bounds", "--audit", str(bad), "--out", str(report)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
+        assert not report.exists()
+
 
 class TestAttnCheck:
     def test_default_run_passes(self):
@@ -245,6 +257,14 @@ class TestAttnCheck:
             ["attn-check", "--n", "8", "--d", "4", "--trials", "2", "--inject-gradient-fault"]
         )
         assert code == EXIT_CHECK
+
+    @pytest.mark.parametrize("flag", ["--n", "--d", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_size_is_usage_error(self, capsys, flag, value):
+        # --trials 0 used to report every check as PASS after checking nothing
+        assert main(["attn-check", "--n", "8", "--d", "4", "--trials", "2", flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag.lstrip("-") in err and "PASS" not in err and "Traceback" not in err
 
 
 class TestAttnBench:
@@ -264,6 +284,19 @@ class TestAttnBench:
         for row in data_rows:
             n, d, variant, _, flops = row.split(",")
             assert int(flops) == attention_cost(int(n), int(d), variant)
+
+    @pytest.mark.parametrize("args", [
+        ["--n-list", "64,abc"],
+        ["--n-list", "0"],
+        ["--n-list", "64,-8"],
+        ["--n-list", ","],
+        ["--d", "0"],
+    ])
+    def test_bad_size_is_usage_error(self, tmp_path, capsys, args):
+        out = tmp_path / "bench.csv"
+        assert main(["attn-bench", "--n-list", "64", "--d", "8", *args, "--out", str(out)]) == EXIT_USAGE
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVolume:
@@ -312,6 +345,19 @@ class TestVolume:
         )
         assert main(["volume", str(path), "--out", "-"]) == EXIT_IO
         assert "row 3" in capsys.readouterr().err
+
+    def test_csv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "cases.csv"
+        path.write_bytes(
+            b"case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            b"c0,1,1,1,1,0,0,1,1,0\n"
+            b"c\xff,1,1,1,1,0,0,2,2,0\n"
+        )
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestStartup:

@@ -270,6 +270,34 @@ class TestBench:
         with pytest.raises(ValueError):
             bench_attention([16], d=4, repeats=2)
 
+    @pytest.mark.parametrize("n_list,d", [([0], 4), ([16, -1], 4), ([], 4), ([16], 0)])
+    def test_sizes_validated(self, n_list, d):
+        with pytest.raises(ValueError):
+            bench_attention(n_list, d=d, repeats=3)
+
+    def test_inputs_are_leading_rows_of_one_float32_draw(self, monkeypatch):
+        from volkit import linattn
+
+        seen = []
+
+        def capture(t):
+            seen.append(t)
+            return linattn.AttentionOutput(out=t.v, flops=0)
+
+        monkeypatch.setitem(linattn._KERNELS, "linear", capture)
+        n_list = [24, 8, 40, 16]
+        rows = bench_attention(n_list, d=5, repeats=3, seed=7, variants=("linear",))
+        assert [r["n"] for r in rows] == n_list
+        assert [t.n for t in seen] == [n for n in n_list for _ in range(3)]
+        rng = np.random.default_rng(7)
+        drawn = [rng.standard_normal((40, 5), dtype=np.float32) for _ in "qkv"]
+        largest = seen[6]
+        for t in seen:
+            for got, full, whole in zip((t.q, t.k, t.v), drawn, (largest.q, largest.k, largest.v)):
+                assert got.dtype == np.float32 and got.flags.c_contiguous
+                assert np.array_equal(got, full[: t.n])
+                assert np.shares_memory(got, whole)
+
     def test_slope_fit_on_synthetic_times(self):
         ns = [256, 1024, 4096]
         assert fit_loglog_slope(ns, [n**2 * 1e-9 for n in ns]) == pytest.approx(2.0)

@@ -16,7 +16,7 @@ from volkit.segmetrics import (
     extract_surface,
     region_metrics,
 )
-from volkit.segmetrics import _pooled_surface_distances, _surface_bool
+from volkit.segmetrics import _check_compatible, _distances_at, _pooled_surface_distances, _surface
 
 
 def fixture_3x3x1():
@@ -57,6 +57,24 @@ class TestConfusion:
         c = make_mask(np.zeros((2, 2, 2)), spacing=(1, 1, 2))
         with pytest.raises(ValueError, match="spacing"):
             confusion(a, c)
+
+    @pytest.mark.parametrize("ref", [1.0, 0.8, 2.5, 1e-3, 300.0])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_spacing_tolerance_edges(self, ref, axis):
+        # relative tolerance 1e-6 of the second mask's spacing, as np.allclose(rtol=1e-6, atol=0)
+        base = [0.7, 1.3, 2.0]
+        for factor, inside in ((1 + 0.99e-6, True), (1 - 0.99e-6, True), (1 + 1.01e-6, False), (1 - 1.01e-6, False)):
+            a_sp, b_sp = list(base), list(base)
+            b_sp[axis] = ref
+            a_sp[axis] = ref * factor
+            a = make_mask(np.zeros((2, 2, 2)), spacing=a_sp)
+            b = make_mask(np.zeros((2, 2, 2)), spacing=b_sp)
+            assert inside == bool(np.allclose(a.spacing, b.spacing, rtol=1e-6, atol=0.0))
+            if inside:
+                _check_compatible(a, b)
+            else:
+                with pytest.raises(ValueError, match="spacing mismatch"):
+                    _check_compatible(a, b)
 
 
 class TestRegionMetrics:
@@ -188,7 +206,7 @@ class TestBoundaryMetrics:
 
 def field_path_pooled(pred, gt):
     """Pooled distances read from the two full distance fields of edt()."""
-    return np.concatenate([edt(gt)[_surface_bool(pred)], edt(pred)[_surface_bool(gt)]])
+    return np.concatenate([edt(gt)[_surface(pred)[0]], edt(pred)[_surface(gt)[0]]])
 
 
 @st.composite
@@ -225,6 +243,54 @@ class TestPooledSurfaceDistances:
         want = field_path_pooled(pred, gt)
         assert got.dtype == want.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+
+def full_grid_surface(mask):
+    """The 6-connectivity surface computed over the whole grid, without a bounding box."""
+    fg = mask.data.astype(bool)
+    padded = np.pad(fg, 1, constant_values=False)
+    interior = np.ones_like(fg)
+    for axis in range(3):
+        lo = [slice(1, -1)] * 3
+        hi = [slice(1, -1)] * 3
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        interior &= padded[tuple(lo)] & padded[tuple(hi)]
+    return fg & ~interior
+
+
+@st.composite
+def laid_out_mask_pairs(draw):
+    pred, gt = draw(anisotropic_mask_pairs())
+    if draw(st.booleans()):  # NIfTI volumes load in Fortran order
+        pred, gt = (make_mask(np.asfortranarray(m.data), m.spacing) for m in (pred, gt))
+    return pred, gt
+
+
+class TestBoundingBoxSurface:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(laid_out_mask_pairs())
+    def test_same_surface_indices_and_distances_as_full_grid(self, pair):
+        pred, gt = pair
+        for mask in pair:
+            want = full_grid_surface(mask)
+            surface, idx = _surface(mask)
+            assert surface.dtype == bool and np.array_equal(surface, want)
+            assert surface.flags.f_contiguous == want.flags.f_contiguous
+            assert surface.flags.c_contiguous == want.flags.c_contiguous
+            for got_axis, want_axis in zip(idx, np.nonzero(want)):
+                assert np.array_equal(got_axis, want_axis)
+        ps, gs = full_grid_surface(pred), full_grid_surface(gt)
+        want = np.concatenate([
+            _distances_at(gs, gt.spacing, np.nonzero(ps)),
+            _distances_at(ps, pred.spacing, np.nonzero(gs)),
+        ])
+        assert _pooled_surface_distances(pred, gt).tobytes() == want.tobytes()
+
+    def test_empty_mask_has_no_surface(self):
+        surface, idx = _surface(make_mask(np.zeros((3, 4, 5))))
+        assert surface.shape == (3, 4, 5) and not surface.any()
+        assert [len(i) for i in idx] == [0, 0, 0]
 
 
 class TestCohenKappa:

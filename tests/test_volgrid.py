@@ -125,6 +125,27 @@ class TestThirdPartyFixture:
         path.write_bytes(raw)
         assert load_nifti(path).spacing == (0.5, 2.0, 3.0)
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("byte_order", ["<", ">"])
+    @pytest.mark.parametrize("vox_offset", [352, 353, 358])
+    def test_payload_read_equal_and_read_only(self, tmp_path, dtype, byte_order, vox_offset):
+        import struct
+
+        data = random_grid(np.random.default_rng(8), dtype, dims=(5, 4, 3)).data
+        raw = build_nifti1_bytes(data, (1, 1, 1), byte_order=byte_order)
+        header = bytearray(raw[:348])
+        struct.pack_into(byte_order + "f", header, 108, float(vox_offset))
+        path = tmp_path / "v.nii"
+        path.write_bytes(bytes(header) + b"\x00" * (vox_offset - 348) + raw[352:])
+        got = load_nifti(path).data
+        assert got.dtype == data.dtype and got.dtype.isnative
+        assert np.array_equal(got, data)
+        assert got.flags.aligned and not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 0
+        if np.dtype(byte_order + data.dtype.str[1:]).isnative and vox_offset % data.dtype.itemsize == 0:
+            assert not got.flags.owndata  # a view of the file's bytes, not a copy
+
 
 class TestNiftiErrors:
     def test_truncated_header(self, tmp_path):
@@ -205,6 +226,13 @@ class TestBinarize:
     def test_all_zero(self):
         g = VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.float32), spacing=(1, 1, 1))
         assert binarize(g, 0.5).foreground_count() == 0
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_mask_is_uint8_zero_one(self, dtype):
+        data = np.arange(24).reshape(2, 3, 4).astype(dtype)
+        mask = binarize(VolumeGrid(data=data, spacing=(1, 1, 1)), 11.5)
+        assert mask.data.dtype == np.uint8 and not mask.data.flags.writeable
+        assert mask.data.tolist() == (data > 11.5).astype(np.uint8).tolist()
 
     def test_idempotent_on_binary(self):
         rng = np.random.default_rng(3)
