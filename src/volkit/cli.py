@@ -17,24 +17,48 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from importlib import import_module
 from pathlib import Path
 
-import numpy as np
-
-from . import linattn
-from .cohortstats import cohort_report, linear_fit
-from .segmetrics import (
-    CASE_CSV_HEADER,
-    CaseMetrics,
-    UndefinedMetricError,
-    cohen_kappa,
-    confusion,
-    evaluate_case,
-    region_metrics,
-)
+from .cohortstats import fsum_mean, linear_fit
 from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_bounds_from_dice
-from .volgrid import NiftiError, binarize, is_binary, load_nifti
+
+# The array layers: each name here -> the module it comes from. They are bound
+# into this module on first use (``_bind_array_layers``), so that importing the
+# CLI, and running ``bounds --audit`` or ``volume``, never loads numpy.
+_ARRAY_NAMES = {
+    "np": "numpy",
+    "linattn": ".linattn",
+    "cohort_report": ".cohortstats",
+    **dict.fromkeys(
+        ("CASE_CSV_HEADER", "CaseMetrics", "UndefinedMetricError", "cohen_kappa", "confusion",
+         "evaluate_case", "region_metrics"),
+        ".segmetrics",
+    ),
+    **dict.fromkeys(("NiftiError", "binarize", "is_binary", "load_nifti"), ".volgrid"),
+}
+_ARRAY_MODULES = ("np", "linattn")  # names bound to the module itself
+
+
+def _bind_array_layers():
+    """Bind every array-layer name that this module does not hold yet.
+
+    A name that is already bound, e.g. replaced with ``setattr`` before the
+    first command ran, is left as it is.
+    """
+    namespace = globals()
+    for name, source in _ARRAY_NAMES.items():
+        if name not in namespace:
+            module = import_module(source, __package__)
+            namespace[name] = module if name in _ARRAY_MODULES else getattr(module, name)
+
+
+def __getattr__(name):
+    if name in _ARRAY_NAMES:
+        _bind_array_layers()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,6 +80,23 @@ def _fmt(x) -> str:
 
 def _progress(msg: str):
     print(msg, file=sys.stderr)
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """``path`` for writing through a temporary file in the same directory.
+
+    The temporary file replaces ``path`` only when the block completes, so a
+    failure partway leaves any earlier ``path`` whole and no temporary behind.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @contextlib.contextmanager
@@ -161,6 +202,7 @@ def _limit_worker_memory(mem_mb):
 
 
 def _eval_one(args):
+    _bind_array_layers()  # a spawned worker has run no command
     case_id, pred_path, gt_path, threshold, mode = args
     try:
         pred = _load_mask(pred_path, threshold)
@@ -180,6 +222,8 @@ def _eval_one(args):
 def _run_cases(pairs, threshold, jobs, mode, mem_mb):
     tasks = [(cid, p, g, threshold, mode) for cid, (p, g) in sorted(pairs.items())]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_limit_worker_memory, initargs=(mem_mb,)
         ) as pool:
@@ -212,6 +256,7 @@ def _case_csv_row(case_id: str, m: CaseMetrics) -> str:
 
 
 def cmd_eval(args) -> int:
+    _bind_array_layers()
     try:
         mem_mb = _worker_mem_mb()
     except ValueError as exc:
@@ -232,7 +277,7 @@ def cmd_eval(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "cases.csv", "w", newline="") as f:
+    with _replacing(out_dir / "cases.csv") as f:
         f.write(CASE_CSV_HEADER + "\n")
         for cid, m in results:
             f.write(_case_csv_row(cid, m) + "\n")
@@ -246,12 +291,14 @@ def cmd_eval(args) -> int:
         summary = {"group": args.group, "n_cases": len(results), "report": report}
         if errors:
             summary["failed_cases"] = sorted(cid for cid, _ in errors)
-        (out_dir / "summary.json").write_text(_dump_json(summary))
+        with _replacing(out_dir / "summary.json") as f:
+            f.write(_dump_json(summary))
     _progress(f"wrote {out_dir / 'cases.csv'}" + (" and summary.json" if results else ""))
     return EXIT_PARTIAL if errors else EXIT_OK
 
 
 def cmd_agree(args) -> int:
+    _bind_array_layers()
     try:
         mem_mb = _worker_mem_mb()
     except ValueError as exc:
@@ -272,7 +319,7 @@ def cmd_agree(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "agreement.csv", "w", newline="") as f:
+    with _replacing(out_dir / "agreement.csv") as f:
         f.write("case_id,dice,kappa\n")
         for cid, (dice, kappa) in results:
             f.write(f"{cid},{_fmt(dice)},{_fmt(kappa)}\n")
@@ -289,7 +336,8 @@ def cmd_agree(args) -> int:
         }
         if errors:
             summary["failed_cases"] = sorted(cid for cid, _ in errors)
-        (out_dir / "summary.json").write_text(_dump_json(summary))
+        with _replacing(out_dir / "summary.json") as f:
+            f.write(_dump_json(summary))
     return EXIT_PARTIAL if errors else EXIT_OK
 
 
@@ -299,6 +347,7 @@ def cmd_bounds(args) -> int:
         if step <= 0 or not 0 < lo <= hi <= 1:
             _progress("error: curve range must satisfy 0 < MIN <= MAX <= 1 with STEP > 0")
             return EXIT_USAGE
+        _bind_array_layers()
         grid = np.arange(lo, hi + step * 0.5, step)
         rows = bound_curve(grid[grid <= 1.0 + 1e-12])
         with _output(args.out) as f:
@@ -410,6 +459,7 @@ def _attn_checks(n, d, seed, trials, inject_fault):
 
 
 def cmd_attn_check(args) -> int:
+    _bind_array_layers()
     if min(args.n, args.d, args.trials) < 1:
         _progress("error: n, d and trials must be >= 1")
         return EXIT_USAGE
@@ -431,6 +481,7 @@ def cmd_attn_check(args) -> int:
 
 
 def cmd_attn_bench(args) -> int:
+    _bind_array_layers()
     try:
         n_list = [int(s) for s in args.n_list.split(",") if s]
     except ValueError:
@@ -478,16 +529,17 @@ def cmd_volume(args) -> int:
     abs_vpes = [abs(t[3]) for t in triples if t[3] is not None]
     try:
         fit = linear_fit(gt, pred)
-    except ValueError as exc:
+        mean_dice = fsum_mean(dices)
+        mean_abs_vpe = fsum_mean(abs_vpes) if abs_vpes else None
+    except (ValueError, OverflowError) as exc:  # fsum overflows on sums beyond 1.8e308
         _progress(f"error: {exc}")
         return EXIT_IO
-    mean_dice = float(np.mean(dices))
     result = {
         "n": fit.n,
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r2": fit.r2,
-        "mean_abs_vpe": float(np.mean(abs_vpes)) if abs_vpes else None,
+        "mean_abs_vpe": mean_abs_vpe,
         "mean_dice": mean_dice,
     }
     if mean_dice > 0 and abs_vpes:

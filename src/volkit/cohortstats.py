@@ -3,19 +3,21 @@
 The t-distribution tail is evaluated through the regularized incomplete beta
 function, computed by the standard continued-fraction expansion (modified
 Lentz) to 1e-12; the test suite cross-checks it against direct quadrature
-of the t density.
+of the t density. ``linear_fit`` and ``fsum_mean`` are plain Python with
+correctly rounded ``math.fsum`` sums; the summaries, t-tests and cohort
+reports import numpy when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .segmetrics import CASE_METRIC_FIELDS, CaseMetrics
 from .volbounds import avpe_bound
+
+if TYPE_CHECKING:
+    from .segmetrics import CaseMetrics
 
 
 @dataclass(frozen=True)
@@ -42,6 +44,8 @@ class TTestResult:
 
 
 def summarize(values) -> MetricSummary:
+    import numpy as np
+
     values = np.asarray(list(values), dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot summarize an empty list")
@@ -53,29 +57,37 @@ def summarize(values) -> MetricSummary:
     )
 
 
+def fsum_mean(values) -> float:
+    """Arithmetic mean of a non-empty sequence, from a correctly rounded sum."""
+    return math.fsum(values) / len(values)
+
+
 def linear_fit(x, y) -> RegressionFit:
     """Least-squares line with r2 = (Pearson r)^2.
 
     Constant x (no regression possible) and constant y (Pearson r undefined)
     are both rejected, as distinct errors.
     """
-    x = np.asarray(list(x), dtype=np.float64)
-    y = np.asarray(list(y), dtype=np.float64)
-    if x.size != y.size:
-        raise ValueError(f"length mismatch: {x.size} vs {y.size}")
-    if x.size < 2:
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
         raise ValueError("need at least two points")
-    sxx = float(((x - x.mean()) ** 2).sum())
-    syy = float(((y - y.mean()) ** 2).sum())
+    x_mean, y_mean = fsum_mean(x), fsum_mean(y)
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    sxx = math.fsum(d * d for d in dx)
+    syy = math.fsum(d * d for d in dy)
     if sxx == 0.0:
         raise ValueError("x is constant: slope undefined")
     if syy == 0.0:
         raise ValueError("y is constant: Pearson correlation undefined")
-    sxy = float(((x - x.mean()) * (y - y.mean())).sum())
+    sxy = math.fsum(a * b for a, b in zip(dx, dy))
     slope = sxy / sxx
-    intercept = float(y.mean() - slope * x.mean())
+    intercept = y_mean - slope * x_mean
     r2 = sxy * sxy / (sxx * syy)
-    return RegressionFit(slope=slope, intercept=intercept, r2=r2, n=x.size)
+    return RegressionFit(slope=slope, intercept=intercept, r2=r2, n=len(x))
 
 
 # --- regularized incomplete beta via continued fraction -----------------
@@ -157,6 +169,8 @@ def paired_t_test(a, b) -> TTestResult:
     Zero-variance differences are a degenerate case: p = 1 when the
     differences are all zero, an infinite-t outcome otherwise.
     """
+    import numpy as np
+
     a = np.asarray(list(a), dtype=np.float64)
     b = np.asarray(list(b), dtype=np.float64)
     if a.size != b.size:
@@ -193,6 +207,10 @@ def cohort_report(
     paired t-test when ``case_ids`` lets cases be matched one-to-one across
     the two groups; otherwise only the summary delta is reported.
     """
+    import numpy as np
+
+    from .segmetrics import CASE_METRIC_FIELDS
+
     if len(cases) != len(groups):
         raise ValueError(f"{len(cases)} cases but {len(groups)} group labels")
     if case_ids is not None and len(case_ids) != len(cases):

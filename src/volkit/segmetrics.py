@@ -98,16 +98,19 @@ def _check_compatible(a: BinaryMask, b: BinaryMask):
         raise ValueError(f"spacing mismatch: {a.spacing} vs {b.spacing}")
 
 
+def _foreground_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
+    """Foreground voxels of ``a``, of ``b`` and of both; every other count follows."""
+    _check_compatible(a, b)
+    both = int(np.count_nonzero(np.logical_and(a.data, b.data)))
+    return int(np.count_nonzero(a.data)), int(np.count_nonzero(b.data)), both
+
+
 def confusion(pred: BinaryMask, gt: BinaryMask) -> ConfusionCounts:
     """Voxelwise confusion counts of prediction against ground truth."""
-    _check_compatible(pred, gt)
-    p = pred.data.astype(bool)
-    g = gt.data.astype(bool)
-    tp = int(np.count_nonzero(p & g))
-    fp = int(np.count_nonzero(p & ~g))
-    fn = int(np.count_nonzero(~p & g))
-    tn = p.size - tp - fp - fn
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    n_pred, n_gt, tp = _foreground_counts(pred, gt)
+    fp = n_pred - tp
+    fn = n_gt - tp
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=pred.data.size - tp - fp - fn)
 
 
 def region_metrics(c: ConfusionCounts) -> RegionMetrics:
@@ -225,13 +228,9 @@ def cohen_kappa(a: BinaryMask, b: BinaryMask) -> float:
 
     The universe is the full volume, background included.
     """
-    _check_compatible(a, b)
+    na, nb, both = _foreground_counts(a, b)
     n = a.data.size
-    av = a.data.astype(bool)
-    bv = b.data.astype(bool)
-    agree = int(np.count_nonzero(av == bv))
-    na = int(np.count_nonzero(av))
-    nb = int(np.count_nonzero(bv))
+    agree = n - na - nb + 2 * both  # voxels in both masks or in neither
     # exact integer forms of n^2 * (p_o - p_e) and n^2 * (1 - p_e)
     chance = na * nb + (n - na) * (n - nb)
     den = n * n - chance

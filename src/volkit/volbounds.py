@@ -5,15 +5,14 @@ For any mask pair with overlap, the relative volume prediction error
 coefficient: ``2/(2 - dice) - 2 <= vpe <= 2/dice - 2``. The cohort mean of
 ``|vpe|`` is in turn bounded by ``2/mean_dice - 2``. This module provides
 the closed forms, an exhaustive brute-force verifier over all small mask
-pairs, and the bound-curve table.
+pairs, and the bound-curve table. The closed forms are plain Python; numpy is
+imported only by the verifiers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
 
 BOUND_CURVE_CSV_HEADER = "dice,vpe_lower,vpe_upper,abs_lower,abs_upper"
 
@@ -59,6 +58,8 @@ def avpe_bound(mean_dice: float) -> float:
 
 def _check_pairs(pred_counts, gt_counts, overlap_counts, tol):
     """Bound check over parallel count arrays; returns violation tuples."""
+    import numpy as np
+
     pred_counts = np.asarray(pred_counts, dtype=np.float64)
     gt_counts = np.asarray(gt_counts, dtype=np.float64)
     overlap_counts = np.asarray(overlap_counts, dtype=np.float64)
@@ -78,6 +79,8 @@ def verify_bounds_exhaustive(grid_dims=(3, 3, 1), tol: float = 1e-12) -> list[Bo
     Enumerates all 2^N x 2^N (pred, gt) pairs with non-empty gt and
     overlap > 0 and returns the (expected empty) violation list.
     """
+    import numpy as np
+
     n_vox = prod(grid_dims)
     if n_vox > _EXHAUSTIVE_VOXEL_CAP:
         raise ValueError(f"{n_vox} voxels: exhaustive enumeration capped at {_EXHAUSTIVE_VOXEL_CAP}")
@@ -112,6 +115,8 @@ def verify_bounds_sampled(grid_dims, n_pairs: int, seed: int = 0, tol: float = 1
     Draws random mask pairs (rejecting empty-gt and zero-overlap draws) and
     returns the number of bound violations (expected 0).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n_vox = prod(grid_dims)
     preds = rng.random((n_pairs, n_vox)) < rng.random((n_pairs, 1))

@@ -300,6 +300,39 @@ class TestAttnBench:
 
 
 class TestVolume:
+    @pytest.mark.parametrize("n", [2, 7, 9, 400])
+    def test_agrees_with_numpy_expressions(self, tmp_path, n):
+        rng = np.random.default_rng(100 + n)
+        gt = rng.uniform(20.0, 120.0, n)
+        pred = 0.9 * gt + 4.0 + rng.normal(0.0, 6.0, n)
+        dice = rng.uniform(0.6, 0.95, n)
+        rows = ["case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe"]
+        rows += [f"c{i},{d:.6g},,,,,,{p:.6g},{g:.6g},{p / g - 1:.6g}"
+                 for i, (d, p, g) in enumerate(zip(dice, pred, gt))]
+        path = tmp_path / "cases.csv"
+        path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_OK
+        result = json.loads(out.read_text())
+
+        with open(path, newline="") as f:
+            cells = list(csv.DictReader(f))
+        x = np.array([float(r["gt_ml"]) for r in cells])
+        y = np.array([float(r["pred_ml"]) for r in cells])
+        xm, ym = x.mean(), y.mean()
+        sxx, syy, sxy = ((x - xm) ** 2).sum(), ((y - ym) ** 2).sum(), ((x - xm) * (y - ym)).sum()
+        slope = sxy / sxx
+        want = {
+            "slope": slope,
+            "intercept": ym - slope * xm,
+            "r2": sxy * sxy / (sxx * syy),
+            "mean_dice": np.mean([float(r["dice"]) for r in cells]),
+            "mean_abs_vpe": np.mean([abs(float(r["vpe"])) for r in cells]),
+        }
+        assert result["n"] == n
+        for key, value in want.items():
+            assert result[key] == pytest.approx(float(value), rel=1e-12), key
+
     def test_scaled_cohort(self, tmp_path):
         rows = ["case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe"]
         for i, gt in enumerate((10.0, 20.0, 30.0)):
@@ -313,6 +346,20 @@ class TestVolume:
         assert result["r2"] == pytest.approx(1.0)
         assert result["mean_abs_vpe"] == pytest.approx(0.1)
         assert result["avpe_bound_satisfied"]
+
+    def test_sum_beyond_float_range_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "c0,0.9,,,,,,1e308,1e308,0\n"
+            "c1,0.9,,,,,,1.5e308,1e308,0.5\n"
+            "c2,0.9,,,,,,1e308,1.5e308,-0.333333\n"
+        )
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "overflow" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_single_case_error(self, tmp_path):
         path = tmp_path / "one.csv"
@@ -360,6 +407,14 @@ class TestVolume:
         assert not out.exists()
 
 
+def run_fresh(code, *args):
+    """Run ``code`` in a new interpreter with this checkout's ``src`` first on the path."""
+    src = str(Path(volkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True)
+
+
 class TestStartup:
     def test_import_leaves_scipy_ndimage_unloaded(self):
         code = (
@@ -370,9 +425,7 @@ class TestStartup:
             "assert callable(segmetrics.ndimage.distance_transform_edt)\n"
             "assert 'scipy.ndimage' in sys.modules\n"
         )
-        src = str(Path(volkit.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        result = run_fresh(code)
         assert result.returncode == 0, result.stderr
 
     def test_unknown_module_attribute_still_raises(self):
@@ -380,6 +433,133 @@ class TestStartup:
 
         with pytest.raises(AttributeError):
             segmetrics.no_such_name
+
+    def test_import_leaves_numpy_and_scipy_unloaded(self):
+        code = (
+            "import sys\n"
+            "import volkit.cli\n"
+            "loaded = sorted(m for m in ('numpy', 'scipy') if m in sys.modules)\n"
+            "assert not loaded, f'imported eagerly: {loaded}'\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_bounds_audit_and_volume_run_without_numpy(self, tmp_path):
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "c0,0.9,0.818182,0.9,0.9,1,0.5,10,10,0\n"
+            "c1,0.8,0.666667,0.75,0.857143,2,0.7,12,10.5,0.142857\n"
+            "c2,0.85,0.739130,0.85,0.85,1.5,0.6,8,8.2,-0.0243902\n"
+        )
+        code = (
+            "import sys\n"
+            "from volkit.cli import main\n"
+            "csv_path, audit, volume = sys.argv[1:]\n"
+            "assert main(['bounds', '--audit', csv_path, '--out', audit]) == 0\n"
+            "assert main(['volume', csv_path, '--out', volume]) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        result = run_fresh(code, path, tmp_path / "audit.json", tmp_path / "volume.json")
+        assert result.returncode == 0, result.stderr
+        assert json.loads((tmp_path / "audit.json").read_text()) == {"checked": 3, "violations": []}
+        assert json.loads((tmp_path / "volume.json").read_text())["n"] == 3
+
+    @pytest.mark.parametrize("mode", ["eval", "agree"])
+    def test_eval_one_in_fresh_worker(self, tmp_path, mode):
+        from volkit.cli import _eval_one
+
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        task = ("beta", str(pred_dir / "beta.nii"), str(gt_dir / "beta.nii"), 0.5, mode)
+        code = (
+            "import sys\n"
+            "from volkit.cli import _eval_one\n"
+            "print(repr(_eval_one((sys.argv[1], sys.argv[2], sys.argv[3], 0.5, sys.argv[4]))))\n"
+        )
+        want = _eval_one(task)
+        assert want[2] is None
+        result = run_fresh(code, *task[:3], mode)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == repr(want)
+
+    def test_patch_made_before_first_command_sees_every_load(self, tmp_path):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        code = (
+            "import sys\n"
+            "import volkit.cli as cli\n"
+            "from volkit.volgrid import load_nifti\n"
+            "seen = []\n"
+            "def counting(path):\n"
+            "    seen.append(path)\n"
+            "    return load_nifti(path)\n"
+            "cli.load_nifti = counting\n"
+            "assert cli.main(['eval', sys.argv[1], sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+            "assert len(seen) == 4, seen\n"
+        )
+        result = run_fresh(code, pred_dir, gt_dir, tmp_path / "out")
+        assert result.returncode == 0, result.stderr
+
+    def test_monkeypatched_load_nifti_sees_every_load(self, tmp_path, monkeypatch):
+        import volkit.cli as cli
+
+        real = cli.load_nifti
+        seen = []
+
+        def counting(path):
+            seen.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(cli, "load_nifti", counting)
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert sorted(seen) == ["alpha.nii", "alpha.nii", "beta.nii", "beta.nii"]
+
+    def test_array_names_resolve_before_any_command(self):
+        code = (
+            "import volkit.cli as cli\n"
+            "from volkit import segmetrics, volgrid\n"
+            "assert cli.evaluate_case is segmetrics.evaluate_case\n"
+            "assert cli.load_nifti is volgrid.load_nifti\n"
+            "assert cli.np.__name__ == 'numpy'\n"
+            "try:\n"
+            "    cli.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise AssertionError('cli.no_such_name resolved')\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+
+class TestAtomicOutputs:
+    @pytest.mark.parametrize("command,row_writer,fail_at", [
+        ("eval", "_case_csv_row", 2),  # second case row
+        ("agree", "_fmt", 3),  # first cell of the second case row
+    ])
+    def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch, command, row_writer, fail_at):
+        import volkit.cli as cli
+
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, str(pred_dir), str(gt_dir), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert len(before) == 2
+
+        real = getattr(cli, row_writer)
+        calls = []
+
+        def crashes_partway(*args):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise RuntimeError("crash while writing rows")
+            return real(*args)
+
+        monkeypatch.setattr(cli, row_writer, crashes_partway)
+        with pytest.raises(RuntimeError, match="crash while writing rows"):
+            main(argv)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestDeterminism:

@@ -56,7 +56,27 @@ class TestSummarize:
             summarize([])
 
 
+def numpy_linear_fit(x, y):
+    """The numpy expressions linear_fit used before its sums became math.fsum."""
+    x = np.asarray(list(x), dtype=np.float64)
+    y = np.asarray(list(y), dtype=np.float64)
+    sxx = float(((x - x.mean()) ** 2).sum())
+    syy = float(((y - y.mean()) ** 2).sum())
+    sxy = float(((x - x.mean()) * (y - y.mean())).sum())
+    slope = sxy / sxx
+    return slope, float(y.mean() - slope * x.mean()), sxy * sxy / (sxx * syy)
+
+
 class TestLinearFit:
+    @pytest.mark.parametrize("n", [2, 7, 9, 400])
+    def test_agrees_with_numpy_expressions(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.uniform(20.0, 120.0, n)  # pancreas-sized volumes in ml
+        y = 0.9 * x + 4.0 + rng.normal(0.0, 6.0, n)
+        fit = linear_fit(x, y)
+        assert fit.n == n
+        for got, want in zip((fit.slope, fit.intercept, fit.r2), numpy_linear_fit(x, y)):
+            assert got == pytest.approx(want, rel=1e-12)
     def test_perfect_line(self):
         x = [0.0, 1.0, 2.0, 3.0]
         fit = linear_fit(x, [2 * v + 1 for v in x])

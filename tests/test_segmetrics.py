@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,6 +331,65 @@ class TestCohenKappa:
             p_o = np.count_nonzero(a.data == b.data) / a.data.size
             assert k <= p_o + 1e-12
             assert -1 - 1e-12 <= k <= 1 + 1e-12
+
+
+def grid_confusion(pred, gt):
+    """Confusion counts from the three full-grid masks p & g, p & ~g and ~p & g."""
+    p, g = pred.data.astype(bool), gt.data.astype(bool)
+    tp = int(np.count_nonzero(p & g))
+    fp = int(np.count_nonzero(p & ~g))
+    fn = int(np.count_nonzero(~p & g))
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=p.size - tp - fp - fn)
+
+
+def grid_kappa(a, b):
+    """Cohen's kappa with agreement counted on the full grid ``a == b``."""
+    n = a.data.size
+    av, bv = a.data.astype(bool), b.data.astype(bool)
+    agree = int(np.count_nonzero(av == bv))
+    na, nb = int(np.count_nonzero(av)), int(np.count_nonzero(bv))
+    chance = na * nb + (n - na) * (n - nb)
+    den = n * n - chance
+    if den == 0:
+        raise UndefinedMetricError("kappa undefined: both raters constant and identical")
+    return (agree * n - chance) / den
+
+
+@st.composite
+def typed_mask_pairs(draw):
+    """Two same-grid 0/1 masks of one dtype; bool masks (which VolumeGrid does not
+    hold) come as stand-ins with the same ``data``, ``dims`` and ``spacing``."""
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    dtype = draw(st.sampled_from(["uint8", "int16", "float32", "float64", "bool"]))
+    masks = []
+    for _ in range(2):
+        kind = draw(st.sampled_from(["random", "empty", "full"]))
+        data = np.zeros(dims, dtype=bool)
+        if kind == "full":
+            data[...] = True
+        elif kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            data[...] = rng.random(dims) < draw(st.floats(0.0, 1.0))
+        if dtype == "bool":
+            masks.append(SimpleNamespace(data=data, dims=dims, spacing=(1.0, 1.0, 1.0)))
+        else:
+            masks.append(make_mask(data.astype(dtype)))
+    return masks
+
+
+class TestCountsFromThreeTotals:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(typed_mask_pairs())
+    def test_same_counts_and_kappa_as_full_grid_masks(self, pair):
+        a, b = pair
+        assert confusion(a, b) == grid_confusion(a, b)
+        try:
+            want = grid_kappa(a, b)
+        except UndefinedMetricError:
+            with pytest.raises(UndefinedMetricError):
+                cohen_kappa(a, b)
+        else:
+            assert cohen_kappa(a, b) == want
 
 
 class TestEvaluateCase:
