@@ -37,8 +37,8 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("AttentionGradients", "AttentionOutput", "AttentionTensors", "attention_cost",
-         "bench_attention", "flatten_feature_map", "linear_attention", "linear_attention_backward",
-         "quadratic_attention", "softmax_cols", "softmax_rows", "unflatten_tokens"),
+         "bench_attention", "linear_attention", "linear_attention_backward", "quadratic_attention",
+         "softmax_cols", "softmax_rows"),
         "linattn",
     ),
 }

@@ -154,26 +154,65 @@ def linear_attention_backward(t: AttentionTensors, upstream: np.ndarray) -> Atte
     return AttentionGradients(dq=dq, dk=dk, dv=dv)
 
 
-def flatten_feature_map(vol: np.ndarray) -> np.ndarray:
-    """Flatten a D x H x W x C feature map into an n x C token matrix.
+def check_properties(n: int, d: int, seed: int, trials: int) -> list[tuple[str, float, float]]:
+    """The attention property suite on ``trials`` random float64 instances.
 
-    Token order is first-axis-fastest: token index = x + D*(y + H*z), so
-    token 0 is voxel (0, 0, 0).
+    Each instance has between 1 and n tokens and 1 and d channels, drawn from
+    ``seed``. Returns one (name, max_error, tolerance) per property: weight
+    rows sum to one, factored equals unfactored, permutation equivariance,
+    both kernels' outputs inside the values' convex hull, and the analytic
+    gradient against central finite differences on an up-to-8x4 sub-instance.
     """
-    vol = np.asarray(vol)
-    if vol.ndim != 4 or min(vol.shape) < 1:
-        raise ValueError(f"expected non-degenerate 4D feature map, got shape {vol.shape}")
-    nd, nh, nw, nc = vol.shape
-    return vol.transpose(2, 1, 0, 3).reshape(nd * nh * nw, nc)
+    rng = np.random.default_rng(seed)
+    err_rowsum = err_factored = err_perm = err_hull = err_grad = 0.0
+    for _ in range(trials):
+        nn = int(rng.integers(1, n + 1))
+        dd = int(rng.integers(1, d + 1))
+        t = AttentionTensors(
+            q=rng.standard_normal((nn, dd)),
+            k=rng.standard_normal((nn, dd)),
+            v=rng.standard_normal((nn, dd)),
+        )
+        weights = linear_attention_weights(t)
+        err_rowsum = max(err_rowsum, float(np.abs(weights.sum(axis=1) - 1.0).max()))
 
+        out = linear_attention(t).out
+        err_factored = max(err_factored, float(np.abs(out - weights @ t.v).max()))
 
-def unflatten_tokens(tokens: np.ndarray, spatial_dims: tuple[int, int, int]) -> np.ndarray:
-    """Inverse of :func:`flatten_feature_map`."""
-    nd, nh, nw = spatial_dims
-    n, nc = tokens.shape
-    if n != nd * nh * nw:
-        raise ValueError(f"{n} tokens cannot fill dims {spatial_dims}")
-    return tokens.reshape(nw, nh, nd, nc).transpose(2, 1, 0, 3)
+        perm = rng.permutation(nn)
+        t_perm = AttentionTensors(q=t.q[perm], k=t.k[perm], v=t.v[perm])
+        err_perm = max(err_perm, float(np.abs(linear_attention(t_perm).out - out[perm]).max()))
+
+        for kernel in (linear_attention, quadratic_attention):
+            o = kernel(t).out
+            over = np.maximum(o - t.v.max(axis=0), 0).max()
+            under = np.maximum(t.v.min(axis=0) - o, 0).max()
+            err_hull = max(err_hull, float(over), float(under))
+
+        ng, dg = min(nn, 8), min(dd, 4)
+        tg = AttentionTensors(q=t.q[:ng, :dg], k=t.k[:ng, :dg], v=t.v[:ng, :dg])
+        upstream = rng.standard_normal((ng, dg))
+        grads = linear_attention_backward(tg, upstream)
+        step = 1e-5
+        for analytic, attr in ((grads.dq, "q"), (grads.dk, "k"), (grads.dv, "v")):
+            numeric = np.zeros_like(analytic)
+            for idx in np.ndindex(analytic.shape):
+                for sign in (1, -1):
+                    pert = {key: getattr(tg, key).copy() for key in "qkv"}
+                    pert[attr][idx] += sign * step
+                    val = float((upstream * linear_attention(AttentionTensors(**pert)).out).sum())
+                    numeric[idx] += sign * val
+                numeric[idx] /= 2 * step
+            scale = max(float(np.abs(numeric).max()), 1.0)
+            err_grad = max(err_grad, float(np.abs(analytic - numeric).max()) / scale)
+
+    return [
+        ("weight_rows_sum_to_one", err_rowsum, 1e-9),
+        ("factored_equals_unfactored", err_factored, 1e-12),
+        ("permutation_equivariance", err_perm, 1e-12),
+        ("output_in_value_convex_hull", err_hull, 1e-9),
+        ("analytic_gradient_vs_finite_difference", err_grad, 1e-5),
+    ]
 
 
 _KERNELS = {"quadratic": quadratic_attention, "linear": linear_attention}

@@ -74,9 +74,7 @@ class CaseMetrics:
     vpe: Optional[float]
 
 
-CASE_CSV_HEADER = "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe"
-
-# Metric fields summarized at cohort level, in report column order.
+# Metric fields in the order of the cohort report and of the case CSV's columns.
 CASE_METRIC_FIELDS = (
     "dice",
     "jaccard",

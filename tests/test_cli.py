@@ -11,7 +11,8 @@ import pytest
 from conftest import make_mask
 from phantom import generate_phantom_dataset
 import volkit
-from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, main
+from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _fmt, main
+from volkit.volbounds import BOUND_CURVE_CSV_HEADER, bound_curve
 from volkit.volgrid import VolumeGrid, write_nifti
 
 
@@ -62,31 +63,47 @@ class TestEval:
         assert lines[1] == "alpha,1,1,1,1,0,0,0.003,0.003,0"
         assert lines[2] == "beta,0.6,0.428571,0.5,0.75,1,0.4,0.006,0.004,0.5"
 
-    def test_no_pairs_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_no_pairs_exit_code(self, tmp_path, command, csv_name):
         (tmp_path / "pred").mkdir()
         (tmp_path / "gt").mkdir()
         out = tmp_path / "out"
-        assert main(["eval", str(tmp_path / "pred"), str(tmp_path / "gt"), "--out", str(out)]) == EXIT_IO
-        assert not (out / "cases.csv").exists()
+        assert main([command, str(tmp_path / "pred"), str(tmp_path / "gt"), "--out", str(out)]) == EXIT_IO
+        assert not (out / csv_name).exists()
 
-    def test_partial_failure(self, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_partial_failure(self, tmp_path, command):
         pred_dir, gt_dir = two_case_dataset(tmp_path)
         (pred_dir / "broken.nii").write_bytes(b"not a nifti file at all")
         (gt_dir / "broken.nii").write_bytes(b"not a nifti file at all")
         out = tmp_path / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_PARTIAL
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_PARTIAL
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_cases"] == ["broken"]
         assert summary["n_cases"] == 2
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_parallel_matches_serial(self, tmp_path, command, csv_name):
         generate_phantom_dataset(tmp_path / "data", n_cases=6, seed=7)
         out1, out2 = tmp_path / "serial", tmp_path / "parallel"
         base = [str(tmp_path / "data" / "pred"), str(tmp_path / "data" / "gt")]
-        assert main(["eval", *base, "--out", str(out1), "--jobs", "1"]) == EXIT_OK
-        assert main(["eval", *base, "--out", str(out2), "--jobs", "3"]) == EXIT_OK
-        assert (out1 / "cases.csv").read_bytes() == (out2 / "cases.csv").read_bytes()
+        assert main([command, *base, "--out", str(out1), "--jobs", "1"]) == EXIT_OK
+        assert main([command, *base, "--out", str(out2), "--jobs", "3"]) == EXIT_OK
+        assert (out1 / csv_name).read_bytes() == (out2 / csv_name).read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_rerun_where_every_case_fails_removes_old_summary(self, tmp_path, command, csv_name):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        argv = [command, str(pred_dir), str(gt_dir), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert (out / "summary.json").exists()
+        for path in (*pred_dir.iterdir(), *gt_dir.iterdir()):
+            path.write_bytes(b"junk")
+        assert main(argv) == EXIT_PARTIAL
+        assert sorted(p.name for p in out.iterdir()) == [csv_name]
+        assert len((out / csv_name).read_text().splitlines()) == 1
 
     def test_threshold_on_probability_maps(self, tmp_path):
         prob = np.full((3, 3, 3), 0.4, dtype=np.float32)
@@ -114,6 +131,18 @@ class TestEval:
         out = tmp_path / "out"
         assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", jobs]) == EXIT_USAGE
         assert WORKER_MEM_ENV in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--threshold", "nan"), ("--threshold", "inf"), ("--jobs", "0"), ("--jobs", "-3"),
+    ])
+    def test_bad_threshold_or_jobs_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), flag, value]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command,target", [("eval", "evaluate_case"), ("agree", "cohen_kappa")])
@@ -192,6 +221,28 @@ class TestBounds:
         assert capsys.readouterr().out == path.read_text()
         assert path.read_text().startswith("dice,vpe_lower,")
 
+    def test_curve_grid_is_numpy_arange(self, monkeypatch, capsys):
+        import volkit.cli as cli
+
+        grids = []
+        monkeypatch.setattr(cli, "bound_curve", lambda grid: grids.append(grid) or bound_curve(grid))
+        rng = np.random.default_rng(23)
+        lows = rng.uniform(1e-3, 1.0, 150)
+        triples = [(lo, rng.uniform(lo, 1.0), rng.uniform(1e-3, 0.3)) for lo in lows.tolist()]
+        triples += [(0.05, 1.0, 0.01), (0.1, 1.0, 0.1), (0.5, 1.0, 0.25), (0.3, 0.9, 0.7),
+                    (1.0, 1.0, 0.5), (0.001, 1.0, 0.003), (0.94, 0.94, 0.01)]
+        for lo, hi, step in triples:
+            # values within 1e-12 above 1.0 (0.05..1 by 0.01 ends at 1.0000000000000002) read as 1.0
+            want = [min(x, 1.0) for x in np.arange(lo, hi + step * 0.5, step).tolist() if x <= 1.0 + 1e-12]
+            argv = ["bounds", "--curve", *(repr(float(x)) for x in (lo, hi, step)), "--out", "-"]
+            assert main(argv) == EXIT_OK
+            assert grids.pop() == want, (lo, hi, step)
+            assert capsys.readouterr().out == BOUND_CURVE_CSV_HEADER + "\n" + "".join(
+                f"{_fmt(r['dice'])},{_fmt(r['vpe_lower'])},{_fmt(r['vpe_upper'])},"
+                f"{_fmt(r['abs_lower'])},{_fmt(r['abs_upper'])}\n"
+                for r in bound_curve(want)
+            )
+
     def test_bad_step_usage_error(self, tmp_path):
         assert main(["bounds", "--curve", "0.5", "0.9", "0"]) == EXIT_USAGE
 
@@ -232,6 +283,22 @@ class TestBounds:
         assert "row 3" in err and "broken" in err and "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("dice,vpe", [
+        ("nan", "0.1"), ("1.5", "0.1"), ("-0.2", "0.1"), ("inf", "0.1"), ("0.9", "nan"), ("0.9", "-inf"),
+    ])
+    def test_audit_non_finite_or_out_of_range_cell(self, tmp_path, capsys, dice, vpe):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "ok,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
+            f"hostile,{dice},0.81,1,1,0,0,1.1,1,{vpe}\n"
+        )
+        report = tmp_path / "a.json"
+        assert main(["bounds", "--audit", str(bad), "--out", str(report)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "row 3" in err and "hostile" in err and "Traceback" not in err
+        assert not report.exists()
+
     def test_audit_csv_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(
@@ -252,11 +319,18 @@ class TestAttnCheck:
     def test_n_equals_one(self):
         assert main(["attn-check", "--n", "1", "--d", "1", "--trials", "2"]) == EXIT_OK
 
-    def test_injected_fault_fails_gradient_check(self):
-        code = main(
-            ["attn-check", "--n", "8", "--d", "4", "--trials", "2", "--inject-gradient-fault"]
-        )
-        assert code == EXIT_CHECK
+    def test_injected_fault_fails_gradient_check(self, monkeypatch, capsys):
+        from volkit import linattn
+
+        real = linattn.linear_attention_backward
+
+        def negated_dq(t, upstream):
+            grads = real(t, upstream)
+            return linattn.AttentionGradients(dq=-grads.dq, dk=grads.dk, dv=grads.dv)
+
+        monkeypatch.setattr(linattn, "linear_attention_backward", negated_dq)
+        assert main(["attn-check", "--n", "8", "--d", "4", "--trials", "2"]) == EXIT_CHECK
+        assert "failing checks: analytic_gradient_vs_finite_difference\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--n", "--d", "--trials"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -393,6 +467,38 @@ class TestVolume:
         assert main(["volume", str(path), "--out", "-"]) == EXIT_IO
         assert "row 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column,value", [
+        ("gt_ml", "nan"), ("pred_ml", "inf"), ("vpe", "-inf"), ("dice", "NaN"), ("dice", "1.5"),
+    ])
+    def test_non_finite_or_out_of_range_cell(self, tmp_path, capsys, column, value):
+        header = "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe"
+        cells = dict(zip(header.split(","), "c2,0.9,,,,,,3,3,0".split(",")), **{column: value})
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            f"{header}\n"
+            "c0,0.9,,,,,,1,1.1,-0.0909091\n"
+            "c1,0.9,,,,,,2,2.1,-0.047619\n"
+            + ",".join(cells.values()) + "\n"
+        )
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "row 4" in err and "c2" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_values_beyond_float_range_are_io_error(self, tmp_path, capsys):
+        # finite cells whose squared deviations overflow to inf: no NaN may reach volume.json
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "c0,0.9,,,,,,1e200,-1e200,0\n"
+            "c1,0.9,,,,,,-1e200,1e200,0\n"
+        )
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "cases.csv"
         path.write_bytes(
@@ -455,30 +561,32 @@ class TestStartup:
         code = (
             "import sys\n"
             "from volkit.cli import main\n"
-            "csv_path, audit, volume = sys.argv[1:]\n"
+            "csv_path, audit, volume, curve = sys.argv[1:]\n"
             "assert main(['bounds', '--audit', csv_path, '--out', audit]) == 0\n"
             "assert main(['volume', csv_path, '--out', volume]) == 0\n"
+            "assert main(['bounds', '--curve', '0.05', '1', '0.01', '--out', curve]) == 0\n"
             "assert 'numpy' not in sys.modules, 'numpy imported'\n"
         )
-        result = run_fresh(code, path, tmp_path / "audit.json", tmp_path / "volume.json")
+        result = run_fresh(code, path, *(tmp_path / f for f in ("audit.json", "volume.json", "curve.csv")))
         assert result.returncode == 0, result.stderr
+        assert (tmp_path / "curve.csv").read_text().splitlines()[-1] == "1,0,0,0,0"
         assert json.loads((tmp_path / "audit.json").read_text()) == {"checked": 3, "violations": []}
         assert json.loads((tmp_path / "volume.json").read_text())["n"] == 3
 
     @pytest.mark.parametrize("mode", ["eval", "agree"])
     def test_eval_one_in_fresh_worker(self, tmp_path, mode):
-        from volkit.cli import _eval_one
+        from volkit.cli import _DATASETS, _eval_one
 
         pred_dir, gt_dir = two_case_dataset(tmp_path)
-        task = ("beta", str(pred_dir / "beta.nii"), str(gt_dir / "beta.nii"), 0.5, mode)
+        task = (_DATASETS[mode].measure, "beta", str(pred_dir / "beta.nii"), str(gt_dir / "beta.nii"), 0.5)
         code = (
             "import sys\n"
-            "from volkit.cli import _eval_one\n"
-            "print(repr(_eval_one((sys.argv[1], sys.argv[2], sys.argv[3], 0.5, sys.argv[4]))))\n"
+            "from volkit.cli import _DATASETS, _eval_one\n"
+            "print(repr(_eval_one((_DATASETS[sys.argv[1]].measure, *sys.argv[2:5], 0.5))))\n"
         )
         want = _eval_one(task)
         assert want[2] is None
-        result = run_fresh(code, *task[:3], mode)
+        result = run_fresh(code, mode, *task[1:4])
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == repr(want)
 
@@ -520,7 +628,7 @@ class TestStartup:
             "from volkit import segmetrics, volgrid\n"
             "assert cli.evaluate_case is segmetrics.evaluate_case\n"
             "assert cli.load_nifti is volgrid.load_nifti\n"
-            "assert cli.np.__name__ == 'numpy'\n"
+            "assert cli.CASE_METRIC_FIELDS is segmetrics.CASE_METRIC_FIELDS\n"
             "try:\n"
             "    cli.no_such_name\n"
             "except AttributeError:\n"
@@ -534,7 +642,7 @@ class TestStartup:
 
 class TestAtomicOutputs:
     @pytest.mark.parametrize("command,row_writer,fail_at", [
-        ("eval", "_case_csv_row", 2),  # second case row
+        ("eval", "_fmt", 10),  # first cell of the second case row
         ("agree", "_fmt", 3),  # first cell of the second case row
     ])
     def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch, command, row_writer, fail_at):

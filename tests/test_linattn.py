@@ -9,14 +9,12 @@ from volkit.linattn import (
     attention_cost,
     bench_attention,
     fit_loglog_slope,
-    flatten_feature_map,
     linear_attention,
     linear_attention_backward,
     linear_attention_weights,
     quadratic_attention,
     softmax_cols,
     softmax_rows,
-    unflatten_tokens,
 )
 
 
@@ -210,28 +208,6 @@ class TestBackward:
             for a, nmr in ((analytic.dq, ndq), (analytic.dk, ndk), (analytic.dv, ndv)):
                 scale = max(float(np.abs(nmr).max()), 1.0)
                 assert np.abs(a - nmr).max() / scale <= 1e-5
-
-
-class TestFeatureMapAdapter:
-    def test_single_voxel(self):
-        vol = np.arange(5.0).reshape(1, 1, 1, 5)
-        tokens = flatten_feature_map(vol)
-        assert tokens.shape == (1, 5)
-        np.testing.assert_array_equal(tokens[0], vol[0, 0, 0])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        vol = rng.standard_normal((3, 4, 2, 6))
-        tokens = flatten_feature_map(vol)
-        np.testing.assert_array_equal(unflatten_tokens(tokens, (3, 4, 2)), vol)
-
-    def test_token_order_first_axis_fastest(self):
-        vol = np.array([[[[1.0]]], [[[2.0]]]])  # shape (2,1,1,1)
-        tokens = flatten_feature_map(vol)
-        np.testing.assert_array_equal(tokens, [[1.0], [2.0]])
-        vol2 = np.zeros((2, 2, 1, 1))
-        vol2[1, 0, 0, 0] = 7.0  # token index x + D*y = 1
-        assert flatten_feature_map(vol2)[1, 0] == 7.0
 
 
 class TestCostModel:

@@ -8,8 +8,7 @@ import pytest
 
 import volkit
 
-# Every name ``volkit`` exported when its __init__ imported the layers eagerly,
-# with the module that defines it.
+# Every public name of ``volkit``, with the module that defines it.
 PUBLIC = {
     "volgrid": "BinaryMask NiftiError VolumeGrid binarize load_nifti mask_volume_ml write_nifti",
     "segmetrics": "CaseMetrics ConfusionCounts UndefinedMetricError boundary_metrics cohen_kappa "
@@ -18,8 +17,8 @@ PUBLIC = {
     "cohortstats": "MetricSummary RegressionFit TTestResult cohort_report linear_fit "
                    "paired_t_test summarize",
     "linattn": "AttentionGradients AttentionOutput AttentionTensors attention_cost bench_attention "
-               "flatten_feature_map linear_attention linear_attention_backward "
-               "quadratic_attention softmax_cols softmax_rows unflatten_tokens",
+               "linear_attention linear_attention_backward quadratic_attention softmax_cols "
+               "softmax_rows",
 }
 EXPORTS = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
