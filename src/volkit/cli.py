@@ -36,7 +36,7 @@ _ARRAY_NAMES = {
          "region_metrics"),
         ".segmetrics",
     ),
-    **dict.fromkeys(("NiftiError", "binarize", "is_binary", "load_nifti"), ".volgrid"),
+    **dict.fromkeys(("BinaryMask", "NiftiError", "binarize", "load_nifti"), ".volgrid"),
 }
 
 
@@ -81,6 +81,13 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
+class _Unwritable(Exception):
+    """An output that cannot be created or written; ``main`` reports it and exits 3."""
+
+    def __init__(self, path, exc: OSError):
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+
+
 @contextlib.contextmanager
 def _replacing(path: Path):
     """``path`` for writing through a temporary file in the same directory.
@@ -93,8 +100,10 @@ def _replacing(path: Path):
         with open(tmp, "w", newline="") as f:
             yield f
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _Unwritable(path, exc) from exc
         raise
 
 
@@ -103,9 +112,12 @@ def _output(out: str):
     """The file named by ``--out`` for writing; ``-`` is stdout, left open."""
     if out == "-":
         yield sys.stdout
-    else:
+        return
+    try:
         with open(out, "w", newline="") as f:
             yield f
+    except OSError as exc:
+        raise _Unwritable(out, exc) from exc
 
 
 def _dump_json(obj) -> str:
@@ -155,7 +167,10 @@ def _read_csv(path):
 
 
 def discover_pairs(pred_dir: str, gt_dir: str) -> dict[str, tuple[str, str]]:
-    """Pair mask files across two directories by filename stem, in stem order."""
+    """Pair mask files across two directories by filename stem, in stem order.
+
+    A file with no partner is skipped, with a warning on stderr.
+    """
 
     def index(d):
         out = {}
@@ -165,14 +180,21 @@ def discover_pairs(pred_dir: str, gt_dir: str) -> dict[str, tuple[str, str]]:
         return out
 
     preds, gts = index(pred_dir), index(gt_dir)
+    for files, other_dir, others in ((preds, gt_dir, gts), (gts, pred_dir, preds)):
+        for stem in sorted(set(files) - set(others)):
+            _progress(f"warning: {files[stem]} has no partner in {other_dir}; skipped")
     return {s: (preds[s], gts[s]) for s in sorted(set(preds) & set(gts))}
 
 
 def _load_mask(path: str, threshold: float):
+    """The mask stored in ``path``: as it is if binary, else thresholded at > ``threshold``."""
     grid = load_nifti(path)
-    if not is_binary(grid.data):
-        _progress(f"warning: {path} is not binary; thresholding at > {threshold:g}")
-    return binarize(grid, threshold)
+    try:
+        return BinaryMask(grid)
+    except ValueError:
+        mask = binarize(grid, threshold)  # raises first if a voxel is NaN
+        _progress(f"warning: {path} is not binary; thresholded at > {threshold:g}")
+        return mask
 
 
 def _worker_mem_mb():
@@ -239,10 +261,7 @@ def _agreement_csv_row(case_id: str, result) -> str:
 
 
 def _eval_summary(args, results) -> dict:
-    report = cohort_report(
-        [m for _, m in results], [args.group] * len(results), case_ids=[cid for cid, _ in results]
-    )
-    return {"group": args.group, "report": report}
+    return {"group": args.group, "report": cohort_report([m for _, m in results], args.group)}
 
 
 def _agreement_summary(args, results) -> dict:
@@ -298,6 +317,11 @@ def cmd_dataset(args) -> int:
     if not pairs:
         _progress(f"error: no case pairs found in {args.dir_a} and {args.dir_b}")
         return EXIT_IO
+    out_dir = Path(args.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _Unwritable(out_dir, exc) from exc
     _progress(f"{args.command}: {len(pairs)} cases")
 
     _bind_array_layers()
@@ -320,8 +344,6 @@ def cmd_dataset(args) -> int:
             failed.append(cid)
             _progress(f"error: case {cid}: {err}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with _replacing(out_dir / dataset.csv_name) as f:
         f.write(dataset.header + "\n")
         for cid, res in results:
@@ -550,7 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        _progress(f"error: {exc}")
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from .volbounds import avpe_bound
 
@@ -192,86 +192,35 @@ def paired_t_test(a, b) -> TTestResult:
 # --- cohort report ------------------------------------------------------
 
 
-def _summary_dict(s: MetricSummary) -> dict:
-    return {"mean": s.mean, "std": s.std, "median": s.median, "n": s.n}
+def cohort_report(cases: list[CaseMetrics], group: str) -> dict:
+    """One group's metric summaries and avpe bound audit.
 
-
-def cohort_report(
-    cases: list[CaseMetrics],
-    groups: list[str],
-    case_ids: Optional[list[str]] = None,
-) -> dict:
-    """Per-group metric summaries, avpe bound audit, and pairwise deltas.
-
-    Groups are reported in lexicographic order. Pairwise Dice deltas get a
-    paired t-test when ``case_ids`` lets cases be matched one-to-one across
-    the two groups; otherwise only the summary delta is reported.
+    Returns ``{"groups": {group: entry}, "comparisons": []}``. The
+    ``comparisons`` list is always empty: it is kept only because it is part
+    of the frozen ``summary.json`` format. Paired comparisons between cohorts
+    belong to :func:`paired_t_test`.
     """
     import numpy as np
 
     from .segmetrics import CASE_METRIC_FIELDS
 
-    if len(cases) != len(groups):
-        raise ValueError(f"{len(cases)} cases but {len(groups)} group labels")
-    if case_ids is not None and len(case_ids) != len(cases):
-        raise ValueError(f"{len(cases)} cases but {len(case_ids)} case ids")
+    if not cases:
+        raise ValueError("cannot report on an empty cohort")
+    metrics = {}
+    for field_name in CASE_METRIC_FIELDS:
+        defined = [v for v in (getattr(c, field_name) for c in cases) if v is not None]
+        metrics[field_name] = vars(summarize(defined)) if defined else None
+    entry = {"n_cases": len(cases), "metrics": metrics, "avpe": None}
 
-    by_group: dict[str, list[int]] = {}
-    for i, g in enumerate(groups):
-        by_group.setdefault(g, []).append(i)
-
-    report: dict = {"groups": {}, "comparisons": []}
-    for g in sorted(by_group):
-        idx = by_group[g]
-        metrics = {}
-        for field_name in CASE_METRIC_FIELDS:
-            vals = [getattr(cases[i], field_name) for i in idx]
-            defined = [v for v in vals if v is not None]
-            metrics[field_name] = _summary_dict(summarize(defined)) if defined else None
-        entry = {"n_cases": len(idx), "metrics": metrics}
-
-        dices = [cases[i].dice for i in idx]
-        abs_vpes = [abs(cases[i].vpe) for i in idx if cases[i].vpe is not None]
-        mean_dice = float(np.mean(dices))
-        if abs_vpes and mean_dice > 0:
-            bound = avpe_bound(mean_dice)
-            mean_abs_vpe = float(np.mean(abs_vpes))
-            entry["avpe"] = {
-                "mean_dice": mean_dice,
-                "mean_abs_vpe": mean_abs_vpe,
-                "bound": bound,
-                "violated": bool(mean_abs_vpe > bound + 1e-12),
-            }
-        else:
-            entry["avpe"] = None
-        report["groups"][g] = entry
-
-    group_names = sorted(by_group)
-    for i, ga in enumerate(group_names):
-        for gb in group_names[i + 1 :]:
-            ia, ib = by_group[ga], by_group[gb]
-            comp = {
-                "group_a": ga,
-                "group_b": gb,
-                "dice_mean_delta": float(
-                    np.mean([cases[i].dice for i in ia]) - np.mean([cases[i].dice for i in ib])
-                ),
-                "paired_t": None,
-            }
-            if case_ids is not None:
-                ids_a = {case_ids[i]: i for i in ia}
-                ids_b = {case_ids[i]: i for i in ib}
-                shared = sorted(set(ids_a) & set(ids_b))
-                if len(shared) >= 2:
-                    res = paired_t_test(
-                        [cases[ids_a[c]].dice for c in shared],
-                        [cases[ids_b[c]].dice for c in shared],
-                    )
-                    comp["paired_t"] = {
-                        "t": res.t,
-                        "df": res.df,
-                        "p": res.p,
-                        "n_pairs": len(shared),
-                    }
-            report["comparisons"].append(comp)
-    return report
+    abs_vpes = [abs(c.vpe) for c in cases if c.vpe is not None]
+    mean_dice = metrics["dice"]["mean"]
+    if abs_vpes and mean_dice > 0:
+        bound = avpe_bound(mean_dice)
+        mean_abs_vpe = float(np.mean(abs_vpes))
+        entry["avpe"] = {
+            "mean_dice": mean_dice,
+            "mean_abs_vpe": mean_abs_vpe,
+            "bound": bound,
+            "violated": bool(mean_abs_vpe > bound + 1e-12),
+        }
+    return {"groups": {group: entry}, "comparisons": []}

@@ -204,9 +204,15 @@ def write_nifti(grid: VolumeGrid, path) -> None:
 
 
 def binarize(grid: VolumeGrid, threshold: float) -> BinaryMask:
-    """Threshold a grid into a mask: voxel -> 1 iff value > threshold."""
+    """Threshold a grid into a mask: voxel -> 1 iff value > threshold.
+
+    A NaN voxel is undefined, neither above nor below any threshold, so a
+    grid holding one is rejected with ValueError rather than read as 0.
+    """
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
+    if grid.data.dtype.kind == "f" and np.isnan(grid.data.min()):  # min() propagates NaN
+        raise ValueError(f"{np.count_nonzero(np.isnan(grid.data))} NaN voxels cannot be thresholded")
     # A float64 scalar keeps the comparison in float64 for every input dtype
     # (a Python float would be cast to float32 against float32 data).
     data = np.greater(grid.data, np.float64(threshold)).view(np.uint8)

@@ -13,7 +13,7 @@ from phantom import generate_phantom_dataset
 import volkit
 from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _fmt, main
 from volkit.volbounds import BOUND_CURVE_CSV_HEADER, bound_curve
-from volkit.volgrid import VolumeGrid, write_nifti
+from volkit.volgrid import VolumeGrid, load_nifti, write_nifti
 
 
 def write_mask_pair(tmp_path, name, pred_data, gt_data, spacing=(1.0, 1.0, 1.0)):
@@ -121,6 +121,70 @@ class TestEval:
         with open(out / "cases.csv") as f:
             row = next(csv.DictReader(f))
         assert row["dice"] == "1"
+
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    @pytest.mark.parametrize("dtype", ["uint8", "float32"])
+    @pytest.mark.parametrize("threshold", ["1", "2.5", "-1"])
+    def test_threshold_leaves_binary_masks_as_stored(self, tmp_path, capsys, command, csv_name, dtype, threshold):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        for path in (*pred_dir.iterdir(), *gt_dir.iterdir()):
+            grid = load_nifti(path)
+            write_nifti(VolumeGrid(data=grid.data.astype(dtype), spacing=grid.spacing), path)
+        base = [command, str(pred_dir), str(gt_dir)]
+        default, thresholded = tmp_path / "default", tmp_path / "thresholded"
+        assert main([*base, "--out", str(default)]) == EXIT_OK
+        assert main([*base, "--out", str(thresholded), "--threshold", threshold]) == EXIT_OK
+        for name in (csv_name, "summary.json"):
+            assert (thresholded / name).read_bytes() == (default / name).read_bytes()
+        assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_nan_voxels_fail_the_case(self, tmp_path, capsys, command):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        prob = np.full((8, 8, 8), 0.2, dtype=np.float32)
+        prob[2:5, 2:5, 2:5] = 0.9
+        prob[0, 0, 0] = np.nan
+        write_nifti(VolumeGrid(data=prob, spacing=(1, 1, 1)), pred_dir / "gamma.nii")
+        write_nifti(VolumeGrid(data=(prob > 0.5).astype(np.uint8), spacing=(1, 1, 1)), gt_dir / "gamma.nii")
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "case gamma: ValueError" in err and "1 NaN voxel" in err
+        assert "gamma.nii is not binary" not in err
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_cases"] == ["gamma"]
+        assert summary["n_cases"] == 2
+
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_out_that_is_a_file_fails_before_any_case(self, tmp_path, monkeypatch, capsys, command):
+        import volkit.cli as cli
+
+        real = cli.load_nifti
+        loads = []
+        monkeypatch.setattr(cli, "load_nifti", lambda path: loads.append(path) or real(path))
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert loads == []
+        assert out.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_unmatched_files_are_reported(self, tmp_path, capsys, command, csv_name):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        (gt_dir / "alpha.nii").unlink()
+        (gt_dir / "beta.nii").rename(gt_dir / "gamma.nii.gz")
+        write_mask_pair(tmp_path, "delta.nii", np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 3
+        for lone in (pred_dir / "alpha.nii", pred_dir / "beta.nii", gt_dir / "gamma.nii.gz"):
+            assert sum(str(lone) in w for w in warnings) == 1, lone
+        rows = (out / csv_name).read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["delta"]
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -511,6 +575,28 @@ class TestVolume:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
         assert not out.exists()
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["bounds", "--curve", "0.5", "0.9", "0.1"],
+        ["bounds", "--audit", "CASES"],
+        ["volume", "CASES"],
+        ["attn-bench", "--n-list", "8", "--d", "2", "--repeats", "3"],
+    ])
+    def test_missing_directory_is_io_error(self, tmp_path, capsys, argv):
+        cases = tmp_path / "cases.csv"
+        cases.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "c0,0.9,0.818182,0.9,0.9,1,0.5,10,10,0\n"
+            "c1,0.8,0.666667,0.75,0.857143,2,0.7,12,10.5,0.142857\n"
+        )
+        out = tmp_path / "missing" / "out"
+        argv = [str(cases) if a == "CASES" else a for a in argv]
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err and "Traceback" not in err
+        assert not out.parent.exists()
 
 
 def run_fresh(code, *args):

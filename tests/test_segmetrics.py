@@ -19,6 +19,7 @@ from volkit.segmetrics import (
     region_metrics,
 )
 from volkit.segmetrics import _check_compatible, _distances_at, _pooled_surface_distances, _surface
+from volkit.volbounds import vpe_bounds_from_dice
 
 
 def fixture_3x3x1():
@@ -481,3 +482,30 @@ class TestMetricProperties:
         assert moved.hd95_mm == pytest.approx(base.hd95_mm)
         assert moved.assd_mm == pytest.approx(base.assd_mm)
         assert moved.pred_volume_ml == base.pred_volume_ml
+
+
+class TestMetricIdentities:
+    """Identities every metric record must satisfy, on random anisotropic mask pairs."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(anisotropic_mask_pairs())
+    def test_jaccard_is_dice_over_two_minus_dice(self, pair):
+        m = evaluate_case(*pair)
+        assert m.jaccard == pytest.approx(m.dice / (2 - m.dice), rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(anisotropic_mask_pairs())
+    def test_boundary_metrics_symmetric_and_match_oracle(self, pair):
+        pred, gt = pair
+        forward = boundary_metrics(pred, gt)
+        np.testing.assert_allclose(boundary_metrics(gt, pred), forward, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(forward, brute_boundary_metrics(pred.data, gt.data, pred.spacing),
+                                   atol=1e-9)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(anisotropic_mask_pairs())
+    def test_vpe_within_bounds_implied_by_dice(self, pair):
+        m = evaluate_case(*pair)
+        if m.dice > 0:
+            b = vpe_bounds_from_dice(m.dice)
+            assert b.lower - 1e-12 <= m.vpe <= b.upper + 1e-12

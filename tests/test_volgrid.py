@@ -264,6 +264,14 @@ class TestBinarize:
         assert np.array_equal(got, (data.astype(np.float64) > 0.1).astype(np.uint8))
 
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_nan_voxels_rejected_with_their_count(self, dtype):
+        data = np.full((4, 4, 4), 0.7, dtype=dtype)
+        data[0, 1, 2] = data[3, 3, 3] = data[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="3 NaN voxels"):
+            binarize(VolumeGrid(data=data, spacing=(1, 1, 1)), 0.5)
+
+
 class TestIsBinary:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_zero_one_accepted(self, dtype):
