@@ -449,10 +449,19 @@ def cmd_attn_bench(args) -> int:
         _progress(f"error: need --n-list of positive integers (got {args.n_list!r}), "
                   "d >= 1 and repeats >= 3")
         return EXIT_USAGE
+    if len(set(n_list)) != len(n_list):
+        _progress(f"error: --n-list repeats a token count (got {args.n_list!r}); "
+                  "a slope needs distinct n")
+        return EXIT_USAGE
     from . import linattn
 
     variants = ("quadratic", "linear") if args.variant == "both" else (args.variant,)
-    rows = linattn.bench_attention(n_list, args.d, args.repeats, seed=args.seed, variants=variants)
+    try:
+        rows = linattn.bench_attention(n_list, args.d, args.repeats, seed=args.seed, variants=variants)
+    except MemoryError:
+        _progress(f"error: out of memory benchmarking n up to {max(n_list)} at d={args.d}; "
+                  "use smaller --n-list or --d")
+        return EXIT_USAGE
     with _output(args.out) as f:
         f.write("n,d,variant,median_seconds,flops\n")
         for r in rows:

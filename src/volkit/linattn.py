@@ -112,10 +112,29 @@ def quadratic_attention(t: AttentionTensors) -> AttentionOutput:
     return AttentionOutput(out=weights @ t.v, flops=attention_cost(t.n, t.d, "quadratic"))
 
 
+# Queries are softmaxed and multiplied in blocks of this many elements (1 MB
+# in float32), a whole number of rows each, so no n x d row softmax is held.
+_BLOCK_ELEMENTS = 2**18
+
+
 def linear_attention(t: AttentionTensors) -> AttentionOutput:
-    """Separable attention evaluated in the factored (d x d) order."""
+    """Separable attention evaluated in the factored (d x d) order.
+
+    Beyond the inputs it holds the n x d output, one transient n x d key
+    softmax (freed before the output is allocated) and the query softmax of
+    one row block of `_BLOCK_ELEMENTS` elements. Each row's softmax depends on
+    that row alone, so blocking changes no softmax value; the products match
+    the whole-matrix one to rounding (bit for bit in most shapes, a last-bit
+    difference where BLAS takes another path, e.g. for a one-row block).
+    """
     context = softmax_cols(t.k).T @ t.v
-    return AttentionOutput(out=softmax_rows(t.q) @ context, flops=attention_cost(t.n, t.d, "linear"))
+    rows = max(1, _BLOCK_ELEMENTS // t.d)
+    # the dtype the whole-matrix product softmax_rows(q) @ context would have
+    out = np.empty((t.n, t.d), np.result_type(_as_float(t.q[:0]), context))
+    for start in range(0, t.n, rows):
+        block = slice(start, start + rows)
+        np.matmul(softmax_rows(t.q[block]), context, out=out[block])
+    return AttentionOutput(out=out, flops=attention_cost(t.n, t.d, "linear"))
 
 
 def linear_attention_weights(t: AttentionTensors) -> np.ndarray:

@@ -429,11 +429,30 @@ class TestAttnBench:
         ["--n-list", "64,-8"],
         ["--n-list", ","],
         ["--d", "0"],
+        ["--n-list", "64,64"],
+        ["--n-list", "64,128,64"],
     ])
     def test_bad_size_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "bench.csv"
         assert main(["attn-bench", "--n-list", "64", "--d", "8", *args, "--out", str(out)]) == EXIT_USAGE
         assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        from volkit import linattn
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 298. GiB")
+
+        monkeypatch.setattr(linattn, "bench_attention", no_memory)
+        out = tmp_path / "bench.csv"
+        argv = ["attn-bench", "--variant", "quadratic", "--n-list", "200000", "--d", "4", "--repeats", "3"]
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: out of memory benchmarking n up to 200000 at d=4; use smaller --n-list or --d"
+        ]
         assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import naive_quadratic_attention, numeric_attention_gradients, unfactored_linear_attention
+from volkit import linattn
 from volkit.linattn import (
     AttentionTensors,
     attention_cost,
@@ -178,6 +180,63 @@ class TestInPlaceKernels:
         out = softmax(m)
         assert out.dtype == dtype
         assert np.array_equal(m, before)
+
+
+class TestRowBlocks:
+    """linear_attention softmaxes and multiplies the queries one row block at a time."""
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(linattn, "_BLOCK_ELEMENTS", 2**14)
+
+    @staticmethod
+    def _peak_over_inputs(t):
+        tracemalloc.start()
+        try:
+            linear_attention(t)
+            return tracemalloc.get_traced_memory()[1] / t.q.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _many_blocks(rng, d, dtype):
+        # 16 full blocks and a ragged last one
+        rows = linattn._BLOCK_ELEMENTS // d
+        n = 16 * rows + rows // 3
+        return AttentionTensors(*(rng.standard_normal((n, d)).astype(dtype) for _ in "qkv"))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_is_one_output_and_a_block(self, small_blocks, dtype):
+        t = self._many_blocks(np.random.default_rng(20), 16, dtype)
+        assert self._peak_over_inputs(t) <= 1.25
+
+    def test_peak_at_the_benchmark_shape(self):
+        # the module's own block size, float32 at d = 64 as attn-bench runs it
+        t = self._many_blocks(np.random.default_rng(21), 64, np.float32)
+        assert self._peak_over_inputs(t) <= 1.25
+
+    @pytest.mark.parametrize("last", ["full", "one_row", "ragged"])
+    @pytest.mark.parametrize("d", [7, 16, 64])
+    def test_equals_whole_matrix_expression(self, small_blocks, d, last):
+        rows = linattn._BLOCK_ELEMENTS // d
+        n = 5 * rows + {"full": 0, "one_row": 1, "ragged": rows // 3}[last]
+        t = random_tensors(np.random.default_rng(n + d), n, d)
+        want = softmax_rows(t.q) @ (softmax_cols(t.k).T @ t.v)
+        np.testing.assert_allclose(linear_attention(t).out, want, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("dtypes", [
+        (np.float64, np.float32, np.float32),
+        (np.float32, np.float64, np.float64),
+        (np.float32, np.float32, np.int64),
+        (np.float16, np.float32, np.float32),
+    ])
+    def test_mixed_dtypes_keep_the_whole_matrix_dtype(self, small_blocks, dtypes):
+        rng = np.random.default_rng(22)
+        q, k, v = (rng.standard_normal((500, 6)).astype(dt) for dt in dtypes)
+        want = softmax_rows(q) @ (softmax_cols(k).T @ v)
+        got = linear_attention(AttentionTensors(q=q, k=k, v=v)).out
+        assert got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
 class TestBackward:
