@@ -23,21 +23,18 @@ from importlib import import_module
 from pathlib import Path
 from typing import Callable
 
+from . import _EXPORTS
 from .cohortstats import fsum_mean, linear_fit
 from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_bounds_from_dice
 
-# The array layers: each name here -> the module it comes from. They are bound
-# into this module on first use (``_bind_array_layers``), so that importing the
-# CLI, and running ``bounds --audit`` or ``volume``, never loads numpy.
-_ARRAY_NAMES = {
-    "cohort_report": ".cohortstats",
-    **dict.fromkeys(
-        ("CASE_METRIC_FIELDS", "UndefinedMetricError", "cohen_kappa", "confusion", "evaluate_case",
-         "region_metrics"),
-        ".segmetrics",
-    ),
-    **dict.fromkeys(("BinaryMask", "NiftiError", "binarize", "load_nifti"), ".volgrid"),
-}
+# The array-layer names this module uses. They are bound into it from the
+# modules ``volkit._EXPORTS`` names on first use (``_bind_array_layers``), so
+# that importing the CLI, and running ``bounds --audit`` or ``volume``, never
+# loads numpy.
+_ARRAY_NAMES = (
+    "BinaryMask", "NiftiError", "UndefinedMetricError", "binarize", "cohen_kappa", "cohort_report",
+    "confusion", "evaluate_case", "load_nifti", "region_metrics",
+)
 
 
 def _bind_array_layers():
@@ -47,9 +44,9 @@ def _bind_array_layers():
     first command ran, is left as it is.
     """
     namespace = globals()
-    for name, source in _ARRAY_NAMES.items():
+    for name in _ARRAY_NAMES:
         if name not in namespace:
-            namespace[name] = getattr(import_module(source, __package__), name)
+            namespace[name] = getattr(import_module(f".{_EXPORTS[name]}", __package__), name)
 
 
 def __getattr__(name):
@@ -252,7 +249,7 @@ def _eval_one(task):
 
 
 def _case_csv_row(case_id: str, m) -> str:
-    return ",".join([case_id, *(_fmt(getattr(m, f)) for f in CASE_METRIC_FIELDS)])
+    return ",".join([case_id, *map(_fmt, vars(m).values())])
 
 
 def _agreement_csv_row(case_id: str, result) -> str:
@@ -420,16 +417,15 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_attn_check(args) -> int:
-    if min(args.n, args.d, args.trials) < 1:
-        _progress("error: n, d and trials must be >= 1")
-        return EXIT_USAGE
-    if args.n > 4096:
-        _progress("error: n capped at 4096 for unfactored comparisons")
-        return EXIT_USAGE
     from . import linattn
 
+    try:
+        results = linattn.check_properties(args.n, args.d, args.seed, args.trials)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return EXIT_USAGE
     failed = []
-    for name, err, tol in linattn.check_properties(args.n, args.d, args.seed, args.trials):
+    for name, err, tol in results:
         status = "PASS" if err <= tol else "FAIL"
         _progress(f"{name}: max_error={err:.3e} tol={tol:.0e} {status}")
         if err > tol:
@@ -444,20 +440,16 @@ def cmd_attn_bench(args) -> int:
     try:
         n_list = [int(s) for s in args.n_list.split(",") if s]
     except ValueError:
-        n_list = []
-    if not n_list or min(n_list) < 1 or args.d < 1 or args.repeats < 3:
-        _progress(f"error: need --n-list of positive integers (got {args.n_list!r}), "
-                  "d >= 1 and repeats >= 3")
-        return EXIT_USAGE
-    if len(set(n_list)) != len(n_list):
-        _progress(f"error: --n-list repeats a token count (got {args.n_list!r}); "
-                  "a slope needs distinct n")
+        _progress(f"error: --n-list must be comma-separated integers, got {args.n_list!r}")
         return EXIT_USAGE
     from . import linattn
 
     variants = ("quadratic", "linear") if args.variant == "both" else (args.variant,)
     try:
         rows = linattn.bench_attention(n_list, args.d, args.repeats, seed=args.seed, variants=variants)
+    except ValueError as exc:
+        _progress(f"error: {exc}")
+        return EXIT_USAGE
     except MemoryError:
         _progress(f"error: out of memory benchmarking n up to {max(n_list)} at d={args.d}; "
                   "use smaller --n-list or --d")

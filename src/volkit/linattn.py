@@ -181,7 +181,13 @@ def check_properties(n: int, d: int, seed: int, trials: int) -> list[tuple[str, 
     rows sum to one, factored equals unfactored, permutation equivariance,
     both kernels' outputs inside the values' convex hull, and the analytic
     gradient against central finite differences on an up-to-8x4 sub-instance.
+    Raises ValueError unless n, d and trials are all >= 1 and n <= 4096, where
+    the n x n unfactored weights stay small.
     """
+    if min(n, d, trials) < 1:
+        raise ValueError(f"need n, d and trials >= 1, got n={n}, d={d} and trials={trials}")
+    if n > 4096:
+        raise ValueError(f"n={n} is above 4096, the cap for unfactored comparisons")
     rng = np.random.default_rng(seed)
     err_rowsum = err_factored = err_perm = err_hull = err_grad = 0.0
     for _ in range(trials):
@@ -301,13 +307,18 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
     n; each smaller n times the leading n rows of that draw, which are
     C-contiguous views, not copies. `variants` restricts which kernels run;
     the quadratic one needs an n-by-n intermediate, so skip it for token
-    counts where that matrix would not fit in memory.
+    counts where that matrix would not fit in memory. Raises ValueError, before
+    drawing anything, on an empty `n_list`, an n or d below 1, a repeated n (it
+    would time, and fit a slope through, one point twice), repeats below 3 or
+    an unknown variant.
     """
     n_list = list(n_list)
     if not n_list or min(n_list) < 1 or d < 1:
         raise ValueError(f"need a non-empty n_list of n >= 1 and d >= 1, got {n_list} and {d}")
+    if len(set(n_list)) != len(n_list):
+        raise ValueError(f"n_list {n_list} repeats a token count; a slope needs distinct n")
     if repeats < 3:
-        raise ValueError("need repeats >= 3 for a stable median")
+        raise ValueError(f"need repeats >= 3 for a stable median, got {repeats}")
     if variants is None:
         variants = tuple(_KERNELS)
     unknown = set(variants) - set(_KERNELS)
@@ -339,10 +350,10 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
 
 
 def fit_loglog_slope(ns, times) -> float:
-    """Least-squares slope of log(time) against log(n)."""
+    """Least-squares slope of log(time) against log(n); needs two or more distinct n."""
     ns = np.asarray(ns, dtype=np.float64)
     times = np.asarray(times, dtype=np.float64)
-    if len(ns) < 2:
-        raise ValueError("need at least two points to fit a slope")
+    if len(np.unique(ns)) < 2:
+        raise ValueError(f"need at least two distinct n to fit a slope, got {ns.tolist()}")
     slope, _ = np.polyfit(np.log(ns), np.log(times), 1)
     return float(slope)

@@ -61,7 +61,11 @@ class RegionMetrics:
 
 @dataclass(frozen=True)
 class CaseMetrics:
-    """Full per-case evaluation record. None marks an undefined value."""
+    """Full per-case evaluation record. None marks an undefined value.
+
+    The field order is the order of the cohort report and of the case CSV's
+    columns.
+    """
 
     dice: float
     jaccard: float
@@ -72,20 +76,6 @@ class CaseMetrics:
     pred_volume_ml: float
     gt_volume_ml: float
     vpe: Optional[float]
-
-
-# Metric fields in the order of the cohort report and of the case CSV's columns.
-CASE_METRIC_FIELDS = (
-    "dice",
-    "jaccard",
-    "precision",
-    "recall",
-    "hd95_mm",
-    "assd_mm",
-    "pred_volume_ml",
-    "gt_volume_ml",
-    "vpe",
-)
 
 
 def _check_compatible(a: BinaryMask, b: BinaryMask):

@@ -77,7 +77,8 @@ def is_binary(data: np.ndarray) -> bool:
     """True iff every voxel is exactly 0 or 1 (-0.0 counts as 0, NaN as neither)."""
     if data.dtype.kind in "biu":
         return bool(data.min() >= 0 and data.max() <= 1)
-    return bool(((data == 0) | (data == 1)).all())
+    # one full-grid boolean temporary at a time
+    return int(np.count_nonzero(data == 0)) + int(np.count_nonzero(data == 1)) == data.size
 
 
 @dataclass(frozen=True)

@@ -63,6 +63,25 @@ class TestEval:
         assert lines[1] == "alpha,1,1,1,1,0,0,0.003,0.003,0"
         assert lines[2] == "beta,0.6,0.428571,0.5,0.75,1,0.4,0.006,0.004,0.5"
 
+    def test_csv_columns_are_case_metrics_fields_in_order(self, tmp_path):
+        from dataclasses import fields
+
+        from volkit.segmetrics import CaseMetrics, evaluate_case
+        from volkit.volgrid import BinaryMask
+
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        with open(out / "cases.csv", newline="") as f:
+            reader = csv.reader(f)
+            header = next(reader)
+            rows = list(reader)
+        names = [f.name for f in fields(CaseMetrics)]
+        assert header[1:] == [n.replace("_volume_ml", "_ml") for n in names]
+        for row in rows:
+            m = evaluate_case(*(BinaryMask(load_nifti(Path(d) / f"{row[0]}.nii")) for d in (pred_dir, gt_dir)))
+            assert row[1:] == [_fmt(getattr(m, n)) for n in names]
+
     @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
     def test_no_pairs_exit_code(self, tmp_path, command, csv_name):
         (tmp_path / "pred").mkdir()
@@ -733,7 +752,6 @@ class TestStartup:
             "from volkit import segmetrics, volgrid\n"
             "assert cli.evaluate_case is segmetrics.evaluate_case\n"
             "assert cli.load_nifti is volgrid.load_nifti\n"
-            "assert cli.CASE_METRIC_FIELDS is segmetrics.CASE_METRIC_FIELDS\n"
             "try:\n"
             "    cli.no_such_name\n"
             "except AttributeError:\n"

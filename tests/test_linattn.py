@@ -293,6 +293,27 @@ class TestCostModel:
             attention_cost(4, 4, "cubic")
 
 
+class _Drawn(Exception):
+    """Raised in place of drawing random inputs."""
+
+
+def _no_draw(*args, **kwargs):
+    raise _Drawn
+
+
+class TestCheckProperties:
+    @pytest.mark.parametrize("n,d,trials", [(0, 4, 2), (8, 0, 2), (8, 4, 0), (-1, 4, 2), (4097, 4, 2)])
+    def test_bad_arguments_rejected_before_drawing(self, monkeypatch, n, d, trials):
+        monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
+        with pytest.raises(ValueError, match="4096" if n > 4096 else "trials"):
+            linattn.check_properties(n, d, seed=0, trials=trials)
+
+    def test_n_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
+        with pytest.raises(_Drawn):
+            linattn.check_properties(4096, 1, seed=0, trials=1)
+
+
 class TestBench:
     def test_rows_and_flops_column(self):
         rows = bench_attention([16, 32], d=4, repeats=3)
@@ -309,6 +330,12 @@ class TestBench:
     def test_sizes_validated(self, n_list, d):
         with pytest.raises(ValueError):
             bench_attention(n_list, d=d, repeats=3)
+
+    @pytest.mark.parametrize("n_list", [[64, 64], [16, 32, 16]])
+    def test_repeated_n_rejected_before_drawing(self, monkeypatch, n_list):
+        monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
+        with pytest.raises(ValueError, match="distinct n"):
+            bench_attention(n_list, d=4, repeats=3)
 
     def test_inputs_are_leading_rows_of_one_float32_draw(self, monkeypatch):
         from volkit import linattn
@@ -337,6 +364,12 @@ class TestBench:
         ns = [256, 1024, 4096]
         assert fit_loglog_slope(ns, [n**2 * 1e-9 for n in ns]) == pytest.approx(2.0)
         assert fit_loglog_slope(ns, [n * 1e-9 for n in ns]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("ns,times", [([64, 64], [1.0, 2.0]), ([64, 64, 64], [1.0, 2.0, 3.0]), ([64], [1.0])])
+    def test_slope_needs_two_distinct_n(self, ns, times):
+        # polyfit used to return a slope (0.0417 for the first) with only a RankWarning
+        with pytest.raises(ValueError, match="two distinct n"):
+            fit_loglog_slope(ns, times)
 
     def test_blas_pinned_to_one_thread_and_restored(self):
         from volkit import linattn

@@ -1,4 +1,5 @@
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -284,9 +285,23 @@ class TestIsBinary:
         assert not is_binary(np.array([[[0, 1, value]]], dtype=np.int16))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    @pytest.mark.parametrize("value,expected", [(0.5, False), (np.nan, False), (-0.0, True)])
+    @pytest.mark.parametrize("value,expected", [
+        (0.5, False), (np.nan, False), (-0.0, True), (np.inf, False), (-np.inf, False)])
     def test_float_values(self, dtype, value, expected):
         assert is_binary(np.array([[[0, 1, value]]], dtype=dtype)) is expected
+
+    @pytest.mark.parametrize("value", [0.0, 0.5])
+    def test_float_check_holds_one_boolean_grid_at_a_time(self, value):
+        data = np.ones((64, 64, 64), dtype=np.float32)
+        data[-1, -1, -1] = value
+        tracemalloc.start()
+        try:
+            assert is_binary(data) is (value == 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one bool per voxel, not the two (or three) that ``(a == 0) | (a == 1)`` holds
+        assert peak <= 1.25 * data.size
 
 
 class TestMaskVolume:
