@@ -12,7 +12,6 @@ with 6 significant digits; JSON keeps full precision.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -78,43 +77,50 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
-class _Unwritable(Exception):
-    """An output that cannot be created or written; ``main`` reports it and exits 3."""
+class _Exit(Exception):
+    """Ends a command: ``main`` prints the message as one ``error:`` line and returns ``code``."""
 
-    def __init__(self, path, exc: OSError):
-        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
-@contextlib.contextmanager
-def _replacing(path: Path):
-    """``path`` for writing through a temporary file in the same directory.
+def _unwritable(path, exc: OSError) -> _Exit:
+    return _Exit(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
 
-    The temporary file replaces ``path`` only when the block completes, so a
-    failure partway leaves any earlier ``path`` whole and no temporary behind.
+
+def _write(out, text: str):
+    """Write ``text`` to ``out``; ``-`` is stdout.
+
+    A regular or new file is replaced through a temporary file beside it, so a
+    failure partway leaves any earlier file whole and no temporary behind. A
+    target that exists and is not a regular file (``/dev/null``, a FIFO) is
+    written in place, because replacing it would replace the device node.
     """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise _Unwritable(path, exc) from exc
-        raise
-
-
-@contextlib.contextmanager
-def _output(out: str):
-    """The file named by ``--out`` for writing; ``-`` is stdout, left open."""
     if out == "-":
-        yield sys.stdout
+        sys.stdout.write(text)
         return
+    path = Path(out)
     try:
-        with open(out, "w", newline="") as f:
-            yield f
+        if path.exists() and not path.is_file():
+            with open(path, "w", newline="") as f:
+                f.write(text)
+            return
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", newline="") as f:
+                f.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
-        raise _Unwritable(out, exc) from exc
+        raise _unwritable(out, exc) from exc
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of already-formatted cells."""
+    return "".join(f"{line}\n" for line in [header, *map(",".join, rows)])
 
 
 def _dump_json(obj) -> str:
@@ -126,8 +132,8 @@ def _row_floats(path, number: int, row: dict, keys) -> list:
     """The named cells of CSV row ``number`` (the header is row 1) as floats.
 
     An empty or missing cell is undefined and reads as None. A cell that is
-    not a finite number, or a dice outside [0, 1], raises ValueError naming
-    the row.
+    not a finite number, or a dice outside [0, 1], ends the command with exit
+    3 and a message naming the row.
     """
     out = []
     for key in keys:
@@ -140,24 +146,23 @@ def _row_floats(path, number: int, row: dict, keys) -> list:
             out.append(value)
             continue
         wanted = "a dice in [0, 1]" if key == "dice" else "a finite number"
-        raise ValueError(
-            f"{path} row {number} (case {row.get('case_id', '?')}): {key}={cell!r} is not {wanted}"
+        raise _Exit(
+            EXIT_IO, f"{path} row {number} (case {row.get('case_id', '?')}): {key}={cell!r} is not {wanted}"
         )
     return out
 
 
 def _read_csv(path):
-    """The header and rows of CSV ``path``, or None after reporting why it cannot be read."""
+    """The header and rows of CSV ``path``; exit 3 if it cannot be read."""
     try:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
             rows = list(reader)
-        return reader.fieldnames, rows
     except OSError as exc:
-        _progress(f"error: {exc}")
+        raise _Exit(EXIT_IO, str(exc)) from exc
     except (UnicodeError, csv.Error) as exc:
-        _progress(f"error: {path} is not a readable CSV: {exc}")
-    return None
+        raise _Exit(EXIT_IO, f"{path} is not a readable CSV: {exc}") from exc
+    return reader.fieldnames, rows
 
 
 # --- the dataset pipeline: eval and agree -------------------------------
@@ -197,7 +202,7 @@ def _load_mask(path: str, threshold: float):
 def _worker_mem_mb():
     """The per-worker address-space cap in MB from the environment, or None if unset.
 
-    Raises ValueError unless the value is a positive whole number.
+    Exits 2 unless the value is a positive whole number.
     """
     value = os.environ.get(WORKER_MEM_ENV)
     if not value:
@@ -207,7 +212,7 @@ def _worker_mem_mb():
     except ValueError:
         mem_mb = 0
     if mem_mb <= 0:
-        raise ValueError(f"{WORKER_MEM_ENV}={value!r} is not a positive whole number of megabytes")
+        raise _Exit(EXIT_USAGE, f"{WORKER_MEM_ENV}={value!r} is not a positive whole number of megabytes")
     return mem_mb
 
 
@@ -248,13 +253,13 @@ def _eval_one(task):
         return case_id, None, f"{type(exc).__name__}: {exc}"
 
 
-def _case_csv_row(case_id: str, m) -> str:
-    return ",".join([case_id, *map(_fmt, vars(m).values())])
+def _case_csv_row(case_id: str, m) -> list:
+    return [case_id, *map(_fmt, vars(m).values())]
 
 
-def _agreement_csv_row(case_id: str, result) -> str:
+def _agreement_csv_row(case_id: str, result) -> list:
     dice, kappa = result
-    return f"{case_id},{_fmt(dice)},{_fmt(kappa)}"
+    return [case_id, _fmt(dice), _fmt(kappa)]
 
 
 def _eval_summary(args, results) -> dict:
@@ -278,7 +283,7 @@ class _Dataset:
     measure: Callable  # (mask_a, mask_b) -> the case's result, in a worker
     csv_name: str
     header: str
-    row: Callable  # (case_id, result) -> the case's CSV line
+    row: Callable  # (case_id, result) -> the case's CSV cells
     summary: Callable  # (args, [(case_id, result)]) -> summary.json's own keys
 
 
@@ -297,28 +302,22 @@ _DATASETS = {
 def cmd_dataset(args) -> int:
     """``eval`` or ``agree``: measure every case pair, write its CSV and summary.json."""
     dataset = _DATASETS[args.command]
-    try:
-        mem_mb = _worker_mem_mb()
-        if not math.isfinite(args.threshold):
-            raise ValueError(f"--threshold {args.threshold} is not a finite number")
-        if args.jobs < 1:
-            raise ValueError(f"--jobs {args.jobs} is not a positive number of processes")
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return EXIT_USAGE
+    mem_mb = _worker_mem_mb()
+    if not math.isfinite(args.threshold):
+        raise _Exit(EXIT_USAGE, f"--threshold {args.threshold} is not a finite number")
+    if args.jobs < 1:
+        raise _Exit(EXIT_USAGE, f"--jobs {args.jobs} is not a positive number of processes")
     try:
         pairs = discover_pairs(args.dir_a, args.dir_b)
     except OSError as exc:
-        _progress(f"error: {exc}")
-        return EXIT_IO
+        raise _Exit(EXIT_IO, str(exc)) from exc
     if not pairs:
-        _progress(f"error: no case pairs found in {args.dir_a} and {args.dir_b}")
-        return EXIT_IO
+        raise _Exit(EXIT_IO, f"no case pairs found in {args.dir_a} and {args.dir_b}")
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise _Unwritable(out_dir, exc) from exc
+        raise _unwritable(out_dir, exc) from exc
     _progress(f"{args.command}: {len(pairs)} cases")
 
     _bind_array_layers()
@@ -341,19 +340,18 @@ def cmd_dataset(args) -> int:
             failed.append(cid)
             _progress(f"error: case {cid}: {err}")
 
-    with _replacing(out_dir / dataset.csv_name) as f:
-        f.write(dataset.header + "\n")
-        for cid, res in results:
-            f.write(dataset.row(cid, res) + "\n")
-    summary_path = out_dir / "summary.json"
+    table = _csv(dataset.header, (dataset.row(cid, res) for cid, res in results))
+    summary_text = None
     if results:
         summary = {"n_cases": len(results), **dataset.summary(args, results)}
         if failed:
             summary["failed_cases"] = failed
-        with _replacing(summary_path) as f:
-            f.write(_dump_json(summary))
-    else:  # an earlier run's summary would sit beside a CSV of no cases
-        summary_path.unlink(missing_ok=True)
+        summary_text = _dump_json(summary)
+    _write(out_dir / dataset.csv_name, table)
+    if summary_text is None:  # an earlier run's summary would sit beside a CSV of no cases
+        (out_dir / "summary.json").unlink(missing_ok=True)
+    else:
+        _write(out_dir / "summary.json", summary_text)
     _progress(f"wrote {out_dir / dataset.csv_name}" + (" and summary.json" if results else ""))
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -365,38 +363,27 @@ def cmd_bounds(args) -> int:
     if args.curve is not None:
         lo, hi, step = args.curve
         if step <= 0 or not 0 < lo <= hi <= 1:
-            _progress("error: curve range must satisfy 0 < MIN <= MAX <= 1 with STEP > 0")
-            return EXIT_USAGE
+            raise _Exit(EXIT_USAGE, "curve range must satisfy 0 < MIN <= MAX <= 1 with STEP > 0")
         # np.arange(lo, hi + step/2, step), value for value; those within
         # 1e-12 above 1.0 are rounding error and read as 1.0
         delta = (lo + step) - lo
         grid = (lo + i * delta for i in range(math.ceil((hi + step * 0.5 - lo) / step)))
         rows = bound_curve([min(x, 1.0) for x in grid if x <= 1.0 + 1e-12])
-        with _output(args.out) as f:
-            f.write(BOUND_CURVE_CSV_HEADER + "\n")
-            for r in rows:
-                f.write(",".join(_fmt(r[key]) for key in BOUND_CURVE_CSV_HEADER.split(",")) + "\n")
+        keys = BOUND_CURVE_CSV_HEADER.split(",")
+        _write(args.out, _csv(BOUND_CURVE_CSV_HEADER, ([_fmt(r[key]) for key in keys] for r in rows)))
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
-    table = _read_csv(args.audit)
-    if table is None:
-        return EXIT_IO
-    fieldnames, rows = table
+    fieldnames, rows = _read_csv(args.audit)
     if fieldnames is None or "dice" not in fieldnames:
-        _progress(f"error: {args.audit} is not an eval CSV")
-        return EXIT_IO
+        raise _Exit(EXIT_IO, f"{args.audit} is not an eval CSV")
 
     violations = []
     checked = 0
     for number, row in enumerate(rows, start=2):
         if not row.get("dice") or not row.get("vpe"):
             continue
-        try:
-            dice, vpe = _row_floats(args.audit, number, row, ("dice", "vpe"))
-        except ValueError as exc:
-            _progress(f"error: {exc}")
-            return EXIT_IO
+        dice, vpe = _row_floats(args.audit, number, row, ("dice", "vpe"))
         if dice <= 0:
             continue
         b = vpe_bounds_from_dice(dice)
@@ -406,9 +393,7 @@ def cmd_bounds(args) -> int:
                 {"case_id": row.get("case_id", "?"), "dice": dice, "vpe": vpe,
                  "lower": b.lower, "upper": b.upper}
             )
-    report = {"checked": checked, "violations": violations}
-    with _output(args.out) as f:
-        f.write(_dump_json(report))
+    _write(args.out, _dump_json({"checked": checked, "violations": violations}))
     if violations:
         _progress(f"error: {len(violations)} bound violations (metric implementation bug)")
         return EXIT_CHECK
@@ -422,8 +407,7 @@ def cmd_attn_check(args) -> int:
     try:
         results = linattn.check_properties(args.n, args.d, args.seed, args.trials)
     except ValueError as exc:
-        _progress(f"error: {exc}")
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, str(exc)) from exc
     failed = []
     for name, err, tol in results:
         status = "PASS" if err <= tol else "FAIL"
@@ -439,52 +423,37 @@ def cmd_attn_check(args) -> int:
 def cmd_attn_bench(args) -> int:
     try:
         n_list = [int(s) for s in args.n_list.split(",") if s]
-    except ValueError:
-        _progress(f"error: --n-list must be comma-separated integers, got {args.n_list!r}")
-        return EXIT_USAGE
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, f"--n-list must be comma-separated integers, got {args.n_list!r}") from exc
     from . import linattn
 
     variants = ("quadratic", "linear") if args.variant == "both" else (args.variant,)
     try:
         rows = linattn.bench_attention(n_list, args.d, args.repeats, seed=args.seed, variants=variants)
     except ValueError as exc:
-        _progress(f"error: {exc}")
-        return EXIT_USAGE
-    except MemoryError:
-        _progress(f"error: out of memory benchmarking n up to {max(n_list)} at d={args.d}; "
-                  "use smaller --n-list or --d")
-        return EXIT_USAGE
-    with _output(args.out) as f:
-        f.write("n,d,variant,median_seconds,flops\n")
-        for r in rows:
-            f.write(f"{r['n']},{r['d']},{r['variant']},{_fmt(r['median_seconds'])},{r['flops']}\n")
-        for variant in ("quadratic", "linear"):
-            sub = [r for r in rows if r["variant"] == variant]
-            if len(sub) >= 2:
-                slope = linattn.fit_loglog_slope(
-                    [r["n"] for r in sub], [r["median_seconds"] for r in sub]
-                )
-                f.write(f"slope,{args.d},{variant},{_fmt(slope)},\n")
+        raise _Exit(EXIT_USAGE, str(exc)) from exc
+    except MemoryError as exc:
+        raise _Exit(EXIT_USAGE, f"out of memory benchmarking n up to {max(n_list)} at d={args.d}; "
+                                "use smaller --n-list or --d") from exc
+    lines = [[str(r["n"]), str(r["d"]), r["variant"], _fmt(r["median_seconds"]), str(r["flops"])] for r in rows]
+    for variant in ("quadratic", "linear"):
+        sub = [r for r in rows if r["variant"] == variant]
+        if len(sub) >= 2:
+            slope = linattn.fit_loglog_slope([r["n"] for r in sub], [r["median_seconds"] for r in sub])
+            lines.append(["slope", str(args.d), variant, _fmt(slope), ""])
+    _write(args.out, _csv("n,d,variant,median_seconds,flops", lines))
     return EXIT_OK
 
 
 def cmd_volume(args) -> int:
-    table = _read_csv(args.eval_csv)
-    if table is None:
-        return EXIT_IO
-    _, rows = table
-    try:
-        triples = [
-            _row_floats(args.eval_csv, number, r, ("gt_ml", "pred_ml", "dice", "vpe"))
-            for number, r in enumerate(rows, start=2)
-            if r.get("gt_ml") and r.get("pred_ml") and r.get("dice")
-        ]
-    except ValueError as exc:
-        _progress(f"error: {exc}")
-        return EXIT_IO
+    _, rows = _read_csv(args.eval_csv)
+    triples = [
+        _row_floats(args.eval_csv, number, r, ("gt_ml", "pred_ml", "dice", "vpe"))
+        for number, r in enumerate(rows, start=2)
+        if r.get("gt_ml") and r.get("pred_ml") and r.get("dice")
+    ]
     if len(triples) < 2:
-        _progress("error: need at least two cases with volume columns")
-        return EXIT_IO
+        raise _Exit(EXIT_IO, "need at least two cases with volume columns")
     gt = [t[0] for t in triples]
     pred = [t[1] for t in triples]
     dices = [t[2] for t in triples]
@@ -506,10 +475,8 @@ def cmd_volume(args) -> int:
             result["avpe_bound_satisfied"] = bool(result["mean_abs_vpe"] <= bound + _AUDIT_TOL)
         text = _dump_json(result)  # squares of finite cells can overflow to inf, then NaN
     except (ValueError, OverflowError) as exc:  # fsum overflows on sums beyond 1.8e308
-        _progress(f"error: {exc}")
-        return EXIT_IO
-    with _output(args.out) as f:
-        f.write(text)
+        raise _Exit(EXIT_IO, str(exc)) from exc
+    _write(args.out, text)
     return EXIT_OK
 
 
@@ -575,9 +542,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Unwritable as exc:
+    except _Exit as exc:
         _progress(f"error: {exc}")
-        return EXIT_IO
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import volbounds
 from .volgrid import BinaryMask, mask_volume_ml
 
 _SPACING_RTOL = 1e-6
@@ -229,16 +230,13 @@ def cohen_kappa(a: BinaryMask, b: BinaryMask) -> float:
 
 def evaluate_case(pred: BinaryMask, gt: BinaryMask) -> CaseMetrics:
     """Full metric record for one prediction/ground-truth pair."""
-    _check_compatible(pred, gt)
-    rm = region_metrics(confusion(pred, gt))
+    rm = region_metrics(confusion(pred, gt))  # confusion checks the pair is compatible
     pred_ml = mask_volume_ml(pred)
     gt_ml = mask_volume_ml(gt)
-
-    if pred.foreground_count() > 0 and gt.foreground_count() > 0:
+    try:
         hd95, assd = boundary_metrics(pred, gt)
-    else:
+    except UndefinedMetricError:  # an empty mask has no surface
         hd95, assd = None, None
-    vpe = pred_ml / gt_ml - 1.0 if gt_ml > 0 else None
 
     return CaseMetrics(
         dice=rm.dice,
@@ -249,5 +247,5 @@ def evaluate_case(pred: BinaryMask, gt: BinaryMask) -> CaseMetrics:
         assd_mm=assd,
         pred_volume_ml=pred_ml,
         gt_volume_ml=gt_ml,
-        vpe=vpe,
+        vpe=volbounds.vpe(pred_ml, gt_ml) if gt_ml > 0 else None,
     )

@@ -8,7 +8,9 @@ discarded because none of the metrics downstream depend on it.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +113,10 @@ def _read_bytes(path) -> bytes:
     with open(path, "rb") as f:
         raw = f.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except (OSError, EOFError, zlib.error) as exc:  # BadGzipFile is an OSError
+            raise NiftiError(f"corrupt or cut-off gzip stream: {exc}") from exc
     return raw
 
 
@@ -162,6 +167,8 @@ def load_nifti(path) -> VolumeGrid:
     (vox_offset,) = struct.unpack_from(byte_order + "f", raw, 108)
     slope, inter = struct.unpack_from(byte_order + "2f", raw, 112)
 
+    if not math.isfinite(vox_offset):
+        raise NiftiError(f"vox_offset {vox_offset} is not a finite byte offset")
     offset = int(vox_offset)
     if offset < _VOX_OFFSET:
         raise NiftiError(f"vox_offset {vox_offset:g} lies inside the header; must be >= {_VOX_OFFSET}")

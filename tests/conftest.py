@@ -1,3 +1,4 @@
+import gzip
 import struct
 import sys
 from pathlib import Path
@@ -53,3 +54,26 @@ def build_nifti1_bytes(data, spacing, byte_order="<"):
             for x in range(nx):
                 voxels += struct.pack(byte_order + pack_char, data[x, y, z])
     return bytes(header) + b"\x00" * 4 + bytes(voxels)
+
+
+HOSTILE_KINDS = ("cut-gzip", "corrupt-deflate", "inf-vox-offset", "nan-vox-offset")
+
+
+def hostile_nifti_bytes(kind: str, data, spacing=(1.0, 1.0, 1.0)) -> bytes:
+    """A NIfTI-1 file of ``data`` spoiled in one of the ways in ``HOSTILE_KINDS``.
+
+    ``cut-gzip`` is a .nii.gz cut off halfway, ``corrupt-deflate`` a .nii.gz
+    whose first deflate block has the reserved block type, and the two
+    ``vox-offset`` kinds are plain files whose vox_offset is not finite.
+    """
+    raw = build_nifti1_bytes(data, spacing)
+    if kind == "cut-gzip":
+        packed = gzip.compress(raw)
+        return packed[: len(packed) // 2]
+    if kind == "corrupt-deflate":
+        packed = bytearray(gzip.compress(raw))
+        packed[10] = 0xFF  # BFINAL=1, BTYPE=11: zlib rejects the block
+        return bytes(packed)
+    header = bytearray(raw)
+    struct.pack_into("<f", header, 108, {"inf-vox-offset": np.inf, "nan-vox-offset": np.nan}[kind])
+    return bytes(header)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_mask
+from conftest import HOSTILE_KINDS, hostile_nifti_bytes, make_mask
 from phantom import generate_phantom_dataset
 import volkit
 from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _fmt, main
@@ -173,6 +174,22 @@ class TestEval:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_cases"] == ["gamma"]
         assert summary["n_cases"] == 2
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    def test_hostile_nifti_fails_only_its_case(self, tmp_path, capsys, kind, jobs):
+        mask = np.zeros((4, 3, 2), dtype=np.uint8)
+        mask[1:3, 1, :] = 1
+        pred_dir, gt_dir = write_mask_pair(tmp_path, "good.nii", mask, mask)
+        (pred_dir / "hostile.nii.gz").write_bytes(hostile_nifti_bytes(kind, mask))
+        write_nifti(VolumeGrid(data=mask, spacing=(1, 1, 1)), gt_dir / "hostile.nii")
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", jobs]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "error: case hostile: NiftiError" in err and "Traceback" not in err
+        rows = (out / "cases.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["good"]
+        assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["hostile"]
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     def test_out_that_is_a_file_fails_before_any_case(self, tmp_path, monkeypatch, capsys, command):
@@ -763,20 +780,50 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
 
 
+EVAL_CSV = (
+    "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+    "c0,0.9,0.818182,0.9,0.9,1,0.5,10,10,0\n"
+    "c1,0.8,0.666667,0.75,0.857143,2,0.7,12,10.5,0.142857\n"
+)
+
+# Each command's arguments before ``--out``: PRED, GT and CASES stand for the
+# mask directories and an eval CSV; a single-file output is named OUT/<file>.
+_OUTPUT_COMMANDS = {
+    "eval": (["eval", "PRED", "GT"], None),
+    "agree": (["agree", "PRED", "GT"], None),
+    "bounds-curve": (["bounds", "--curve", "0.5", "0.9", "0.1"], "curve.csv"),
+    "bounds-audit": (["bounds", "--audit", "CASES"], "audit.json"),
+    "volume": (["volume", "CASES"], "volume.json"),
+    "attn-bench": (["attn-bench", "--n-list", "8,16", "--d", "2", "--repeats", "3"], "bench.csv"),
+}
+
+
 class TestAtomicOutputs:
+    def argv(self, tmp_path, command, out):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        cases = tmp_path / "cases.csv"
+        cases.write_text(EVAL_CSV)
+        args, file_name = _OUTPUT_COMMANDS[command]
+        names = {"PRED": str(pred_dir), "GT": str(gt_dir), "CASES": str(cases)}
+        return [names.get(a, a) for a in args] + ["--out", str(out if file_name is None else out / file_name)]
+
     @pytest.mark.parametrize("command,row_writer,fail_at", [
         ("eval", "_fmt", 10),  # first cell of the second case row
         ("agree", "_fmt", 3),  # first cell of the second case row
+        ("bounds-curve", "_fmt", 6),  # first cell of the second curve row
+        ("bounds-audit", "_dump_json", 1),
+        ("volume", "_dump_json", 1),
+        ("attn-bench", "_fmt", 2),  # the second timing row
     ])
     def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch, command, row_writer, fail_at):
         import volkit.cli as cli
 
-        pred_dir, gt_dir = two_case_dataset(tmp_path)
         out = tmp_path / "out"
-        argv = [command, str(pred_dir), str(gt_dir), "--out", str(out)]
+        out.mkdir()
+        argv = self.argv(tmp_path, command, out)
         assert main(argv) == EXIT_OK
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        assert len(before) == 2
+        assert len(before) == (2 if command in ("eval", "agree") else 1)
 
         real = getattr(cli, row_writer)
         calls = []
@@ -791,6 +838,13 @@ class TestAtomicOutputs:
         with pytest.raises(RuntimeError, match="crash while writing rows"):
             main(argv)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not [p for p in out.iterdir() if p.name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("command", ["bounds-curve", "bounds-audit", "volume", "attn-bench"])
+    def test_out_to_a_device_is_written_in_place(self, tmp_path, command):
+        argv = self.argv(tmp_path, command, tmp_path)
+        assert main([*argv[:-1], os.devnull]) == EXIT_OK
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestDeterminism:

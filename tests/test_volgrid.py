@@ -1,10 +1,13 @@
 import gzip
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import build_nifti1_bytes, make_mask
+from conftest import build_nifti1_bytes, hostile_nifti_bytes, make_mask
 from volkit.volgrid import (
     BinaryMask,
     NiftiError,
@@ -221,6 +224,80 @@ class TestNiftiErrors:
         g = load_nifti(path)
         assert g.dtype_tag == "float64"
         assert np.allclose(g.data.ravel(), [11.0, 12.0])
+
+
+class TestHostileStreams:
+    """Cut-off, corrupt and nonsensical files raise NiftiError/ValueError, nothing else."""
+
+    def base_bytes(self):
+        data = np.zeros((4, 3, 2), dtype=np.uint8)
+        data[1:3, 1, :] = 1
+        return build_nifti1_bytes(data, (0.8, 0.8, 1.5))
+
+    @pytest.mark.parametrize("kind,match", [
+        ("cut-gzip", "gzip"), ("corrupt-deflate", "gzip"),
+        ("inf-vox-offset", "vox_offset"), ("nan-vox-offset", "vox_offset"),
+    ])
+    def test_hostile_file_is_nifti_error(self, tmp_path, kind, match):
+        path = tmp_path / "hostile.nii.gz"
+        path.write_bytes(hostile_nifti_bytes(kind, np.zeros((4, 3, 2), dtype=np.uint8)))
+        with pytest.raises(NiftiError, match=match):
+            load_nifti(path)
+
+    def test_huge_dims_fail_before_the_data_is_allocated(self, tmp_path):
+        raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.float64), (1, 1, 1)))
+        struct.pack_into("<8h", raw, 40, 3, 32767, 32767, 32767, 1, 1, 1, 1)
+        path = tmp_path / "huge.nii"
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NiftiError, match="truncated"):
+                load_nifti(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    # (offset, struct format) of each header field the fuzzer overwrites;
+    # ``dim`` and ``pixdim`` entries are overwritten one at a time.
+    INT_FIELDS = [(0, "i"), *((40 + 2 * i, "h") for i in range(8)), (70, "h"), (72, "h")]
+    FLOAT_FIELDS = [*((76 + 4 * i, "f") for i in range(8)), (108, "f"), (112, "f"), (116, "f")]
+
+    @staticmethod
+    def packed(field, value):
+        offset, fmt = field
+        return offset, struct.pack("<" + fmt, value)
+
+    edits = st.one_of(
+        st.builds(packed.__func__, st.sampled_from(INT_FIELDS[:1]), st.integers(-2**31, 2**31 - 1)),
+        st.builds(packed.__func__, st.sampled_from(INT_FIELDS[1:]), st.integers(-2**15, 2**15 - 1)),
+        st.builds(packed.__func__, st.sampled_from(FLOAT_FIELDS), st.floats(width=32)),
+        st.builds(lambda magic: (344, magic), st.binary(min_size=4, max_size=4)),
+    )
+
+    # every example overwrites the same file, so one tmp_path serves them all
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        edit=st.one_of(st.none(), edits),
+        gzipped=st.booleans(),
+        cut=st.one_of(st.none(), st.integers(min_value=0)),
+    )
+    def test_fuzzed_header_or_truncation(self, tmp_path, edit, gzipped, cut):
+        raw = bytearray(self.base_bytes())
+        if edit is not None:
+            offset, value = edit
+            raw[offset:offset + len(value)] = value
+        raw = gzip.compress(bytes(raw)) if gzipped else bytes(raw)
+        if cut is not None:
+            raw = raw[: cut % (len(raw) + 1)]
+        path = tmp_path / "fuzz.nii"
+        path.write_bytes(raw)
+        try:
+            grid = load_nifti(path)
+        except (NiftiError, ValueError):
+            return
+        assert isinstance(grid, VolumeGrid)
 
 
 class TestBinarize:
