@@ -18,18 +18,15 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from importlib import import_module
 from pathlib import Path
 from typing import Callable
 
-from . import _EXPORTS
 from .cohortstats import fsum_mean, linear_fit
 from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_bounds_from_dice
 
-# The array-layer names this module uses. They are bound into it from the
-# modules ``volkit._EXPORTS`` names on first use (``_bind_array_layers``), so
-# that importing the CLI, and running ``bounds --audit`` or ``volume``, never
-# loads numpy.
+# The array-layer names this module uses, bound from the package's lazy exports
+# on first use (``_bind_array_layers``) so that importing the CLI, and running
+# ``bounds --audit`` or ``volume``, never loads numpy.
 _ARRAY_NAMES = (
     "BinaryMask", "NiftiError", "UndefinedMetricError", "binarize", "cohen_kappa", "cohort_report",
     "confusion", "evaluate_case", "load_nifti", "region_metrics",
@@ -45,7 +42,7 @@ def _bind_array_layers():
     namespace = globals()
     for name in _ARRAY_NAMES:
         if name not in namespace:
-            namespace[name] = getattr(import_module(f".{_EXPORTS[name]}", __package__), name)
+            namespace[name] = getattr(sys.modules[__package__], name)
 
 
 def __getattr__(name):
@@ -171,21 +168,27 @@ def _read_csv(path):
 def discover_pairs(pred_dir: str, gt_dir: str) -> dict[str, tuple[str, str]]:
     """Pair mask files across two directories by filename stem, in stem order.
 
-    A file with no partner is skipped, with a warning on stderr.
+    A file with no partner is skipped with a warning on stderr. A stem naming
+    two files in one directory (``c.nii``, ``c.nii.gz``) is skipped in both, with one.
     """
+    ambiguous = set()
 
     def index(d):
         out = {}
         for p in sorted(Path(d).iterdir()):
             if p.name.endswith((".nii", ".nii.gz")):
-                out[p.name.removesuffix(".gz").removesuffix(".nii")] = str(p)
+                stem = p.name.removesuffix(".gz").removesuffix(".nii")
+                if stem in out:
+                    ambiguous.add(stem)
+                    _progress(f"warning: {out[stem]} and {p} share the stem {stem!r}; skipped")
+                out[stem] = str(p)
         return out
 
     preds, gts = index(pred_dir), index(gt_dir)
     for files, other_dir, others in ((preds, gt_dir, gts), (gts, pred_dir, preds)):
-        for stem in sorted(set(files) - set(others)):
+        for stem in sorted(set(files) - set(others) - ambiguous):
             _progress(f"warning: {files[stem]} has no partner in {other_dir}; skipped")
-    return {s: (preds[s], gts[s]) for s in sorted(set(preds) & set(gts))}
+    return {s: (preds[s], gts[s]) for s in sorted(set(preds) & set(gts) - ambiguous)}
 
 
 def _load_mask(path: str, threshold: float):

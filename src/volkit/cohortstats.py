@@ -3,9 +3,9 @@
 The t-distribution tail is evaluated through the regularized incomplete beta
 function, computed by the standard continued-fraction expansion (modified
 Lentz) to 1e-12; the test suite cross-checks it against direct quadrature
-of the t density. ``linear_fit`` and ``fsum_mean`` are plain Python with
-correctly rounded ``math.fsum`` sums; the summaries, t-tests and cohort
-reports import numpy when called.
+of the t density. ``linear_fit``, ``fsum_mean`` and ``paired_t_test`` are
+plain Python (``math.fsum``, :mod:`statistics`) and do not import numpy; the
+summaries and cohort reports import numpy when called.
 """
 
 from __future__ import annotations
@@ -169,23 +169,25 @@ def paired_t_test(a, b) -> TTestResult:
     Zero-variance differences are a degenerate case: p = 1 when the
     differences are all zero, an infinite-t outcome otherwise.
     """
-    import numpy as np
+    from statistics import fmean, stdev
 
-    a = np.asarray(list(a), dtype=np.float64)
-    b = np.asarray(list(b), dtype=np.float64)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    if a.size < 2:
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    if len(a) < 2:
         raise ValueError("need at least two pairs")
-    d = a - b
-    df = d.size - 1
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
+    d = [x - y for x, y in zip(a, b)]
+    if not all(map(math.isfinite, d)):
+        raise ValueError("paired differences must be finite")
+    df = len(d) - 1
+    mean = fmean(d)
+    sd = stdev(d)
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, df=df, p=1.0)
         return TTestResult(t=math.copysign(math.inf, mean), df=df, p=0.0)
-    t = mean / (sd / math.sqrt(d.size))
+    t = mean / (sd / math.sqrt(len(d)))
     return TTestResult(t=t, df=df, p=t_two_sided_p(t, df))
 
 

@@ -15,6 +15,7 @@ Conventions baked in here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,8 +83,7 @@ class CaseMetrics:
 def _check_compatible(a: BinaryMask, b: BinaryMask):
     if a.dims != b.dims:
         raise ValueError(f"shape mismatch: {a.dims} vs {b.dims}")
-    # np.allclose(rtol=_SPACING_RTOL, atol=0) on two 3-tuples, in plain Python
-    if not all(abs(x - y) <= _SPACING_RTOL * abs(y) for x, y in zip(a.spacing, b.spacing)):
+    if not all(math.isclose(x, y, rel_tol=_SPACING_RTOL) for x, y in zip(a.spacing, b.spacing)):
         raise ValueError(f"spacing mismatch: {a.spacing} vs {b.spacing}")
 
 
@@ -137,19 +137,12 @@ def _surface(mask: BinaryMask) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     box = _bounding_box(mask.data)
     if box is None:
         return surface, np.nonzero(surface)
+    from scipy import ndimage
+
     fg = mask.data[box].astype(bool)
-    # A foreground voxel is on the surface iff any of its 6 face neighbors is
-    # background; padding makes the box border, and so the grid border, count
-    # as background.
-    padded = np.pad(fg, 1, constant_values=False)
-    interior = np.ones_like(fg)
-    for axis in range(3):
-        lo = [slice(1, -1)] * 3
-        hi = [slice(1, -1)] * 3
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        interior &= padded[tuple(lo)] & padded[tuple(hi)]
-    inner = fg & ~interior
+    # Foreground voxels with a background face neighbor: the mask minus its erosion by
+    # the 6-connected cross, where border_value=0 makes the box and grid border background.
+    inner = fg & ~ndimage.binary_erosion(fg, border_value=0)
     surface[box] = inner
     return surface, tuple(i + b.start for i, b in zip(np.nonzero(inner), box))
 

@@ -126,7 +126,8 @@ def load_nifti(path) -> VolumeGrid:
     Accepts 3D images and 4D images with a singleton 4th dimension; both
     endiannesses are handled (detected via dim[0]). scl_slope/scl_inter are
     applied when they describe a non-identity affine rescale, promoting the
-    data to float64.
+    data to float64. A non-finite scl_slope or scl_inter reads as 0, as in the
+    NIfTI-1 reference reader (nifti1_io.c); a slope of 0 means no scaling.
     """
     raw = _read_bytes(path)
     if len(raw) < _HEADER_SIZE:
@@ -165,7 +166,7 @@ def load_nifti(path) -> VolumeGrid:
     pixdim = struct.unpack_from(byte_order + "8f", raw, 76)
     spacing = tuple(abs(float(p)) for p in pixdim[1:4])
     (vox_offset,) = struct.unpack_from(byte_order + "f", raw, 108)
-    slope, inter = struct.unpack_from(byte_order + "2f", raw, 112)
+    slope, inter = (v if math.isfinite(v) else 0.0 for v in struct.unpack_from(byte_order + "2f", raw, 112))
 
     if not math.isfinite(vox_offset):
         raise NiftiError(f"vox_offset {vox_offset} is not a finite byte offset")

@@ -1,7 +1,9 @@
 import csv
+import gzip
 import json
 import os
 import stat
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HOSTILE_KINDS, hostile_nifti_bytes, make_mask
+from conftest import HOSTILE_KINDS, build_nifti1_bytes, hostile_nifti_bytes, make_mask
 from phantom import generate_phantom_dataset
 import volkit
 from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _fmt, main
@@ -221,6 +223,37 @@ class TestEval:
             assert sum(str(lone) in w for w in warnings) == 1, lone
         rows = (out / csv_name).read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["delta"]
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_ambiguous_stem_is_skipped_in_both_dirs(self, tmp_path, capsys, command, csv_name, side):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        crowded = pred_dir if side == "a" else gt_dir
+        (crowded / "alpha.nii.gz").write_bytes(gzip.compress(build_nifti1_bytes(np.ones((3, 3, 1), np.uint8), (1, 1, 1))))
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert str(crowded / "alpha.nii") in warnings[0] and str(crowded / "alpha.nii.gz") in warnings[0]
+        rows = (out / csv_name).read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["beta"]
+
+    @pytest.mark.parametrize("slope,inter", [(np.nan, 0.0), (np.inf, 0.0), (np.nan, np.nan)])
+    def test_non_finite_scl_slope_scores_like_the_clean_file(self, tmp_path, capsys, slope, inter):
+        mask = np.zeros((4, 3, 2), dtype=np.uint8)
+        mask[1:3, 1, :] = 1
+        gt = mask.copy()
+        gt[0, 0, 0] = 1
+        pred_dir, gt_dir = write_mask_pair(tmp_path, "clean.nii", mask, gt)
+        write_mask_pair(tmp_path, "scl.nii", mask, gt)
+        raw = bytearray(build_nifti1_bytes(mask, (1, 1, 1)))
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        (pred_dir / "scl.nii").write_bytes(bytes(raw))
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        assert "warning:" not in capsys.readouterr().err
+        clean, scl = (row.split(",", 1) for row in (out / "cases.csv").read_text().splitlines()[1:])
+        assert (clean[0], scl[0]) == ("clean", "scl") and clean[1] == scl[1]
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -680,6 +713,18 @@ class TestStartup:
 
         with pytest.raises(AttributeError):
             segmetrics.no_such_name
+
+    def test_paired_t_test_leaves_numpy_unloaded(self):
+        code = (
+            "import sys\n"
+            "from volkit.cohortstats import paired_t_test\n"
+            "r = paired_t_test([1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 5)\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+            "print(r.t, r.df, r.p)\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["4.242640687119285", "4", "0.01323559956368269"]
 
     def test_import_leaves_numpy_and_scipy_unloaded(self):
         code = (

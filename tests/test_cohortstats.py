@@ -149,6 +149,11 @@ class TestTTest:
         assert r2.t == pytest.approx(-r1.t)
         assert r2.p == pytest.approx(r1.p)
 
+    @pytest.mark.parametrize("a", [[math.nan, 1.0, 2.0], [math.inf, 1.0, 2.0], [1e308, -1e308, 0.0]])
+    def test_non_finite_difference_is_value_error(self, a):
+        with pytest.raises(ValueError, match="finite"):
+            paired_t_test(a, [-1e308, 1e308, 0.0])
+
     def test_p_monotone_in_abs_t(self):
         ps = [t_two_sided_p(t, 7) for t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(ps, ps[1:]))

@@ -20,6 +20,7 @@ from volkit.segmetrics import (
 )
 from volkit.segmetrics import _check_compatible, _distances_at, _pooled_surface_distances, _surface
 from volkit.volbounds import vpe_bounds_from_dice
+from volkit.volgrid import BinaryMask, VolumeGrid
 
 
 def fixture_3x3x1():
@@ -64,7 +65,7 @@ class TestConfusion:
     @pytest.mark.parametrize("ref", [1.0, 0.8, 2.5, 1e-3, 300.0])
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_spacing_tolerance_edges(self, ref, axis):
-        # relative tolerance 1e-6 of the second mask's spacing, as np.allclose(rtol=1e-6, atol=0)
+        # relative tolerance 1e-6 of the larger spacing; np.allclose(rtol=1e-6, atol=0) agrees this far from the edge
         base = [0.7, 1.3, 2.0]
         for factor, inside in ((1 + 0.99e-6, True), (1 - 0.99e-6, True), (1 + 1.01e-6, False), (1 - 1.01e-6, False)):
             a_sp, b_sp = list(base), list(base)
@@ -78,6 +79,15 @@ class TestConfusion:
             else:
                 with pytest.raises(ValueError, match="spacing mismatch"):
                     _check_compatible(a, b)
+
+    def test_spacing_tolerance_is_symmetric(self):
+        # |x - y| lies above 1e-6 * y but below 1e-6 * x
+        data = np.zeros((2, 2, 2))
+        data[0, 0, 0] = 1
+        a = make_mask(data, spacing=(1.000001000112, 1.0, 1.0))
+        b = make_mask(data, spacing=(1.000000000112, 1.0, 1.0))
+        for check in (_check_compatible, confusion, cohen_kappa):
+            assert check(a, b) == check(b, a)
 
 
 class TestRegionMetrics:
@@ -138,11 +148,14 @@ class TestSurface:
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            m = random_nonempty_mask(rng, tuple(rng.integers(1, 7, size=3)))
-            got = {tuple(c) for c in extract_surface(m)}
-            want = {tuple(c) for c in brute_surface(m.data)}
-            assert got == want
+        # as built, Fortran-ordered as NIfTI volumes load, and stored as float32
+        for stored in (np.asarray, np.asfortranarray, lambda d: d.astype(np.float32)):
+            for _ in range(20):
+                m = random_nonempty_mask(rng, tuple(rng.integers(1, 7, size=3)))
+                m = BinaryMask(VolumeGrid(data=stored(m.data), spacing=m.spacing))
+                got = {tuple(c) for c in extract_surface(m)}
+                want = {tuple(c) for c in brute_surface(m.data)}
+                assert got == want
 
 
 class TestEdt:

@@ -225,6 +225,25 @@ class TestNiftiErrors:
         assert g.dtype_tag == "float64"
         assert np.allclose(g.data.ravel(), [11.0, 12.0])
 
+    @pytest.mark.parametrize("slope,inter,scale", [
+        (np.nan, 0.0, None), (np.inf, 0.0, None), (-np.inf, 3.0, None), (np.nan, np.nan, None),
+        (2.0, np.nan, 2.0), (2.0, -np.inf, 2.0),
+    ])
+    def test_non_finite_scl_field_reads_as_zero(self, tmp_path, slope, inter, scale):
+        # as nifti1_io.c's FIXED_FLOAT; a slope of 0 means no scaling
+        mask = np.zeros((4, 3, 2), dtype=np.uint8)
+        mask[1:3, 1, :] = 1
+        raw = bytearray(build_nifti1_bytes(mask, (1, 1, 1)))
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        path = tmp_path / "scl.nii"
+        path.write_bytes(bytes(raw))
+        g = load_nifti(path)
+        if scale is None:
+            assert g == VolumeGrid(data=mask, spacing=(1, 1, 1))
+        else:
+            assert g.dtype_tag == "float64"
+            assert np.array_equal(g.data, mask * scale)
+
 
 class TestHostileStreams:
     """Cut-off, corrupt and nonsensical files raise NiftiError/ValueError, nothing else."""
