@@ -63,6 +63,9 @@ WORKER_MEM_ENV = "VOLKIT_WORKER_MEM_MB"
 # Audit tolerance absorbs the 6-significant-digit rounding of eval CSV rows.
 _AUDIT_TOL = 1e-4
 
+# The most rows ``bounds --curve`` tabulates; a smaller STEP is a usage error.
+_CURVE_MAX_ROWS = 10**5
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -220,9 +223,17 @@ def _worker_mem_mb():
 
 
 def _limit_worker_memory(mem_mb):
+    """Cap this process's address space at ``mem_mb`` MB; None leaves it unlimited.
+
+    The libraries a case needs are loaded first: mapping numpy's and scipy's
+    shared objects under the cap can fail, or hang in scipy's extension load.
+    """
     if mem_mb is not None:
         import resource
 
+        from scipy import ndimage  # noqa: F401  (the surface and distance transform of eval)
+
+        _bind_array_layers()
         limit = mem_mb * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
@@ -329,7 +340,7 @@ def cmd_dataset(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_limit_worker_memory, initargs=(mem_mb,)
+            max_workers=min(args.jobs, len(tasks)), initializer=_limit_worker_memory, initargs=(mem_mb,)
         ) as pool:
             outcomes = list(pool.map(_eval_one, tasks))
     else:
@@ -365,12 +376,15 @@ def cmd_dataset(args) -> int:
 def cmd_bounds(args) -> int:
     if args.curve is not None:
         lo, hi, step = args.curve
-        if step <= 0 or not 0 < lo <= hi <= 1:
-            raise _Exit(EXIT_USAGE, "curve range must satisfy 0 < MIN <= MAX <= 1 with STEP > 0")
+        if not (0 < step < math.inf and 0 < lo <= hi <= 1):
+            raise _Exit(EXIT_USAGE, "curve range must satisfy 0 < MIN <= MAX <= 1 with a finite STEP > 0")
+        n_rows = math.ceil((hi + step * 0.5 - lo) / step)
+        if n_rows > _CURVE_MAX_ROWS:
+            raise _Exit(EXIT_USAGE, f"--curve STEP {step:g} gives {n_rows} rows, more than {_CURVE_MAX_ROWS}")
         # np.arange(lo, hi + step/2, step), value for value; those within
         # 1e-12 above 1.0 are rounding error and read as 1.0
         delta = (lo + step) - lo
-        grid = (lo + i * delta for i in range(math.ceil((hi + step * 0.5 - lo) / step)))
+        grid = (lo + i * delta for i in range(n_rows))
         rows = bound_curve([min(x, 1.0) for x in grid if x <= 1.0 + 1e-12])
         keys = BOUND_CURVE_CSV_HEADER.split(",")
         _write(args.out, _csv(BOUND_CURVE_CSV_HEADER, ([_fmt(r[key]) for key in keys] for r in rows)))
@@ -411,6 +425,9 @@ def cmd_attn_check(args) -> int:
         results = linattn.check_properties(args.n, args.d, args.seed, args.trials)
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, str(exc)) from exc
+    except MemoryError as exc:
+        raise _Exit(EXIT_USAGE, f"out of memory checking n={args.n} at d={args.d}; "
+                                "use smaller --n or --d") from exc
     failed = []
     for name, err, tol in results:
         status = "PASS" if err <= tol else "FAIL"

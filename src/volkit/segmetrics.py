@@ -87,18 +87,12 @@ def _check_compatible(a: BinaryMask, b: BinaryMask):
         raise ValueError(f"spacing mismatch: {a.spacing} vs {b.spacing}")
 
 
-def _foreground_counts(a: BinaryMask, b: BinaryMask) -> tuple[int, int, int]:
-    """Foreground voxels of ``a``, of ``b`` and of both; every other count follows."""
-    _check_compatible(a, b)
-    both = int(np.count_nonzero(np.logical_and(a.data, b.data)))
-    return int(np.count_nonzero(a.data)), int(np.count_nonzero(b.data)), both
-
-
 def confusion(pred: BinaryMask, gt: BinaryMask) -> ConfusionCounts:
     """Voxelwise confusion counts of prediction against ground truth."""
-    n_pred, n_gt, tp = _foreground_counts(pred, gt)
-    fp = n_pred - tp
-    fn = n_gt - tp
+    _check_compatible(pred, gt)
+    tp = int(np.count_nonzero(np.logical_and(pred.data, gt.data)))
+    fp = int(np.count_nonzero(pred.data)) - tp
+    fn = int(np.count_nonzero(gt.data)) - tp
     return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=pred.data.size - tp - fp - fn)
 
 
@@ -126,31 +120,31 @@ def _bounding_box(data: np.ndarray):
 
 
 def _surface(mask: BinaryMask) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The mask's surface on the full grid, and its voxels in ``np.nonzero`` order.
+    """The distance transform's input for the mask's surface, and the surface voxels.
 
-    Both are computed inside the mask's bounding box, whose outside holds no
+    The input is False on the surface and True elsewhere, on the full grid and
+    in the mask's memory layout; the voxels come in ``np.nonzero`` order. Both
+    are computed inside the mask's bounding box, whose outside holds no
     foreground and so no surface; the indices are shifted by the box offset,
-    which keeps their row-major order. The full-grid array has the mask's
-    memory layout.
+    which keeps their row-major order. An empty mask has no surface and raises
+    UndefinedMetricError.
     """
-    surface = np.zeros_like(mask.data, dtype=bool)
     box = _bounding_box(mask.data)
     if box is None:
-        return surface, np.nonzero(surface)
+        raise UndefinedMetricError("an empty mask has no surface")
     from scipy import ndimage
 
     fg = mask.data[box].astype(bool)
     # Foreground voxels with a background face neighbor: the mask minus its erosion by
     # the 6-connected cross, where border_value=0 makes the box and grid border background.
     inner = fg & ~ndimage.binary_erosion(fg, border_value=0)
-    surface[box] = inner
-    return surface, tuple(i + b.start for i, b in zip(np.nonzero(inner), box))
+    field_in = np.ones_like(mask.data, dtype=bool)
+    field_in[box] = ~inner
+    return field_in, tuple(i + b.start for i, b in zip(np.nonzero(inner), box))
 
 
 def extract_surface(mask: BinaryMask) -> np.ndarray:
     """Integer (x, y, z) coordinates of the mask's 6-connectivity surface."""
-    if mask.foreground_count() == 0:
-        raise UndefinedMetricError("surface of an empty mask is undefined")
     return np.transpose(_surface(mask)[1])  # np.argwhere's own definition
 
 
@@ -162,14 +156,11 @@ def edt(mask: BinaryMask) -> np.ndarray:
     """
     from scipy import ndimage
 
-    surface, _ = _surface(mask)
-    if not surface.any():
-        raise UndefinedMetricError("distance field of an empty mask is undefined")
-    return ndimage.distance_transform_edt(~surface, sampling=mask.spacing)
+    return ndimage.distance_transform_edt(_surface(mask)[0], sampling=mask.spacing)
 
 
-def _distances_at(surface: np.ndarray, spacing, idx: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``edt()`` of ``surface`` read at the voxels with coordinates ``idx``.
+def _distances_at(field_in: np.ndarray, spacing, idx: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``edt()`` of the surface given as ``_surface``'s ``field_in``, read at the voxels ``idx``.
 
     Runs the same exact feature transform as :func:`edt` but keeps only the
     nearest-surface indices, then finishes scipy's distance arithmetic
@@ -179,7 +170,7 @@ def _distances_at(surface: np.ndarray, spacing, idx: tuple[np.ndarray, ...]) -> 
     from scipy import ndimage
 
     nearest = ndimage.distance_transform_edt(
-        ~surface, sampling=spacing, return_distances=False, return_indices=True
+        field_in, sampling=spacing, return_distances=False, return_indices=True
     )[(slice(None), *idx)]
     delta = (nearest - np.stack(idx)).astype(np.float64)
     for axis, step in enumerate(np.asarray(spacing, dtype=np.float64)):
@@ -189,18 +180,16 @@ def _distances_at(surface: np.ndarray, spacing, idx: tuple[np.ndarray, ...]) -> 
 
 
 def _pooled_surface_distances(pred: BinaryMask, gt: BinaryMask) -> np.ndarray:
-    pred_surface, pred_idx = _surface(pred)
-    gt_surface, gt_idx = _surface(gt)
-    pred_to_gt = _distances_at(gt_surface, gt.spacing, pred_idx)
-    gt_to_pred = _distances_at(pred_surface, pred.spacing, gt_idx)
+    pred_field_in, pred_idx = _surface(pred)
+    gt_field_in, gt_idx = _surface(gt)
+    pred_to_gt = _distances_at(gt_field_in, gt.spacing, pred_idx)
+    gt_to_pred = _distances_at(pred_field_in, pred.spacing, gt_idx)
     return np.concatenate([pred_to_gt, gt_to_pred])
 
 
 def boundary_metrics(pred: BinaryMask, gt: BinaryMask) -> tuple[float, float]:
     """HD95 and ASSD in millimeters over the pooled symmetric distance set."""
     _check_compatible(pred, gt)
-    if pred.foreground_count() == 0 or gt.foreground_count() == 0:
-        raise UndefinedMetricError("boundary metrics are undefined for an empty mask")
     pooled = _pooled_surface_distances(pred, gt)
     return float(np.percentile(pooled, 95)), float(pooled.mean())
 
@@ -210,9 +199,10 @@ def cohen_kappa(a: BinaryMask, b: BinaryMask) -> float:
 
     The universe is the full volume, background included.
     """
-    na, nb, both = _foreground_counts(a, b)
-    n = a.data.size
-    agree = n - na - nb + 2 * both  # voxels in both masks or in neither
+    c = confusion(a, b)
+    n = c.total
+    na, nb = c.tp + c.fp, c.tp + c.fn
+    agree = c.tp + c.tn  # voxels in both masks or in neither
     # exact integer forms of n^2 * (p_o - p_e) and n^2 * (1 - p_e)
     chance = na * nb + (n - na) * (n - nb)
     den = n * n - chance

@@ -5,8 +5,8 @@ For any mask pair with overlap, the relative volume prediction error
 coefficient: ``2/(2 - dice) - 2 <= vpe <= 2/dice - 2``. The cohort mean of
 ``|vpe|`` is in turn bounded by ``2/mean_dice - 2``. This module provides
 the closed forms, an exhaustive brute-force verifier over all small mask
-pairs, and the bound-curve table. The closed forms are plain Python; numpy is
-imported only by the verifiers.
+pairs, and the bound-curve table. Both verifiers check ``vpe_bounds_from_dice``
+itself; only the sampled one imports numpy, to draw its masks.
 """
 
 from __future__ import annotations
@@ -56,21 +56,19 @@ def avpe_bound(mean_dice: float) -> float:
     return 2.0 / mean_dice - 2.0
 
 
-def _check_pairs(pred_counts, gt_counts, overlap_counts, tol):
-    """Bound check over parallel count arrays; returns violation tuples."""
-    import numpy as np
+def _outside_bounds(n_pred: int, n_gt: int, overlap: int, tol: float):
+    """(dice, vpe, lower, upper) of a pair whose vpe leaves ``vpe_bounds_from_dice(dice)``
+    by more than ``tol``, or whose interval has ``|lower| > upper``; None otherwise.
 
-    pred_counts = np.asarray(pred_counts, dtype=np.float64)
-    gt_counts = np.asarray(gt_counts, dtype=np.float64)
-    overlap_counts = np.asarray(overlap_counts, dtype=np.float64)
-
-    dice = 2.0 * overlap_counts / (pred_counts + gt_counts)
-    vpes = pred_counts / gt_counts - 1.0
-    lower = 2.0 / (2.0 - dice) - 2.0
-    upper = 2.0 / dice - 2.0
+    The pair is given by its foreground counts, with ``n_gt`` and ``overlap`` positive.
+    """
+    dice = 2.0 * overlap / (n_pred + n_gt)
+    v = n_pred / n_gt - 1.0
+    b = vpe_bounds_from_dice(dice)
     # HM-GM consequence: |lower| <= upper must hold pointwise too.
-    bad = (vpes < lower - tol) | (vpes > upper + tol) | (-lower > upper + tol)
-    return dice, vpes, lower, upper, np.flatnonzero(bad)
+    if v < b.lower - tol or v > b.upper + tol or -b.lower > b.upper + tol:
+        return dice, v, b.lower, b.upper
+    return None
 
 
 def verify_bounds_exhaustive(grid_dims=(3, 3, 1), tol: float = 1e-12) -> list[BoundViolation]:
@@ -79,34 +77,18 @@ def verify_bounds_exhaustive(grid_dims=(3, 3, 1), tol: float = 1e-12) -> list[Bo
     Enumerates all 2^N x 2^N (pred, gt) pairs with non-empty gt and
     overlap > 0 and returns the (expected empty) violation list.
     """
-    import numpy as np
-
     n_vox = prod(grid_dims)
     if n_vox > _EXHAUSTIVE_VOXEL_CAP:
         raise ValueError(f"{n_vox} voxels: exhaustive enumeration capped at {_EXHAUSTIVE_VOXEL_CAP}")
 
-    masks = np.arange(1 << n_vox, dtype=np.int64)
-    popcount = np.array([bin(m).count("1") for m in masks], dtype=np.int64)
-
-    pred_idx, gt_idx = np.meshgrid(masks, masks[1:], indexing="ij")
-    overlap = popcount[pred_idx & gt_idx]
-    keep = overlap > 0
-    pred_idx, gt_idx, overlap = pred_idx[keep], gt_idx[keep], overlap[keep]
-
-    dice, vpes, lower, upper, bad = _check_pairs(
-        popcount[pred_idx], popcount[gt_idx], overlap, tol
-    )
-    return [
-        BoundViolation(
-            pred_bits=int(pred_idx[i]),
-            gt_bits=int(gt_idx[i]),
-            dice=float(dice[i]),
-            vpe=float(vpes[i]),
-            lower=float(lower[i]),
-            upper=float(upper[i]),
-        )
-        for i in bad
-    ]
+    violations = []
+    for pred_bits in range(1 << n_vox):
+        n_pred = pred_bits.bit_count()
+        for gt_bits in range(1, 1 << n_vox):
+            overlap = (pred_bits & gt_bits).bit_count()
+            if overlap and (bad := _outside_bounds(n_pred, gt_bits.bit_count(), overlap, tol)):
+                violations.append(BoundViolation(pred_bits, gt_bits, *bad))
+    return violations
 
 
 def verify_bounds_sampled(grid_dims, n_pairs: int, seed: int = 0, tol: float = 1e-12) -> int:
@@ -121,14 +103,9 @@ def verify_bounds_sampled(grid_dims, n_pairs: int, seed: int = 0, tol: float = 1
     n_vox = prod(grid_dims)
     preds = rng.random((n_pairs, n_vox)) < rng.random((n_pairs, 1))
     gts = rng.random((n_pairs, n_vox)) < rng.random((n_pairs, 1))
-    overlap = (preds & gts).sum(axis=1)
-    keep = overlap > 0
-    if not keep.any():
-        return 0
-    _, _, _, _, bad = _check_pairs(
-        preds[keep].sum(axis=1), gts[keep].sum(axis=1), overlap[keep], tol
-    )
-    return int(bad.size)
+    counts = zip(*(m.sum(axis=1).tolist() for m in (preds, gts, preds & gts)))
+    return sum(1 for n_pred, n_gt, overlap in counts
+               if overlap and _outside_bounds(n_pred, n_gt, overlap, tol))
 
 
 def bound_curve(dice_grid) -> list[dict]:

@@ -266,6 +266,58 @@ class TestEval:
         assert WORKER_MEM_ENV in capsys.readouterr().err
         assert not out.exists()
 
+    def test_worker_memory_cap_is_set_after_the_libraries_load(self):
+        # Loading numpy's and scipy's shared objects under the cap failed (ImportError)
+        # or hung in scipy's extension load.
+        code = (
+            "import resource, sys\n"
+            "calls = []\n"
+            "def record(which, limits):\n"
+            "    loaded = all(m in sys.modules for m in ('numpy', 'scipy.ndimage'))\n"
+            "    assert loaded, 'address space capped before numpy and scipy.ndimage loaded'\n"
+            "    calls.append((which, limits))\n"
+            "resource.setrlimit = record\n"
+            "from volkit import cli\n"
+            "cli._limit_worker_memory(64)\n"
+            "assert calls == [(resource.RLIMIT_AS, (64 << 20, 64 << 20))], calls\n"
+        )
+        result = run_fresh(code)
+        assert result.returncode == 0, result.stderr
+
+    def test_capped_serial_run_completes(self, tmp_path):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        result = run_fresh(CLI, "eval", pred_dir, gt_dir, "--out", out,
+                           env={WORKER_MEM_ENV: "200"}, timeout=120)
+        assert result.returncode == EXIT_OK, result.stderr
+        assert len((out / "cases.csv").read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_jobs_never_exceed_the_case_count(self, tmp_path, monkeypatch, command):
+        import concurrent.futures
+
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        for jobs, want in (("5000", 2), ("2", 2), ("3", 2)):
+            out = tmp_path / f"out{jobs}"
+            assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", jobs]) == EXIT_OK
+            assert started.pop() == want
+
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("flag,value", [
         ("--threshold", "nan"), ("--threshold", "inf"), ("--jobs", "0"), ("--jobs", "-3"),
@@ -379,6 +431,38 @@ class TestBounds:
     def test_bad_step_usage_error(self, tmp_path):
         assert main(["bounds", "--curve", "0.5", "0.9", "0"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_is_usage_error(self, tmp_path, capsys, step):
+        out = tmp_path / "curve.csv"
+        assert main(["bounds", "--curve", "0.1", "1", step, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "STEP" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_row_cap(self, monkeypatch, capsys):
+        import volkit.cli as cli
+
+        monkeypatch.setattr(cli, "_CURVE_MAX_ROWS", 5)
+        assert main(["bounds", "--curve", "0.5", "0.9", "0.1", "--out", "-"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert main(["bounds", "--curve", "0.5", "0.9", "0.05", "--out", "-"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "9 rows, more than 5" in captured.err
+
+    def test_long_grid_is_refused_before_it_is_built(self, tmp_path):
+        # About 10^12 values: building them ran out of memory or time. The child is
+        # capped so that a build fails it quickly instead of filling the machine.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+        argv = ["bounds", "--curve", "1e-12", "1", "1e-12", "--out", tmp_path / "curve.csv"]
+        result = run_fresh(CLI, *argv, timeout=60, preexec_fn=cap)
+        assert result.returncode == EXIT_USAGE, result.stderr
+        assert result.stderr.startswith("error: --curve STEP 1e-12 gives ")
+        assert not (tmp_path / "curve.csv").exists()
+
     def test_audit_of_eval_output(self, tmp_path):
         pred_dir, gt_dir = two_case_dataset(tmp_path)
         out = tmp_path / "out"
@@ -472,6 +556,21 @@ class TestAttnCheck:
         assert main(["attn-check", "--n", "8", "--d", "4", "--trials", "2", flag, value]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert flag.lstrip("-") in err and "PASS" not in err and "Traceback" not in err
+
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        from volkit import linattn
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 3.05 GiB")
+
+        monkeypatch.setattr(linattn, "check_properties", no_memory)
+        assert main(["attn-check", "--n", "4096", "--d", "100000", "--trials", "1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: out of memory checking n=4096 at d=100000; use smaller --n or --d"
+        ]
 
 
 class TestAttnBench:
@@ -687,12 +786,19 @@ class TestUnwritableOutput:
         assert not out.parent.exists()
 
 
-def run_fresh(code, *args):
-    """Run ``code`` in a new interpreter with this checkout's ``src`` first on the path."""
+def run_fresh(code, *args, env=(), **kwargs):
+    """Run ``code`` in a new interpreter with this checkout's ``src`` first on the path.
+
+    ``env`` adds environment variables; ``kwargs`` go to ``subprocess.run``.
+    """
     src = str(Path(volkit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, **kwargs)
+
+
+# ``volkit ARGS`` in a new interpreter, through run_fresh.
+CLI = "import sys; from volkit.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
 class TestStartup:

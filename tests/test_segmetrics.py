@@ -221,8 +221,11 @@ class TestBoundaryMetrics:
 
 
 def field_path_pooled(pred, gt):
-    """Pooled distances read from the two full distance fields of edt()."""
-    return np.concatenate([edt(gt)[_surface(pred)[0]], edt(pred)[_surface(gt)[0]]])
+    """Pooled distances read from the two full distance fields of edt().
+
+    ``_surface``'s first value is the distance transform's input, False on the surface.
+    """
+    return np.concatenate([edt(gt)[~_surface(pred)[0]], edt(pred)[~_surface(gt)[0]]])
 
 
 @st.composite
@@ -290,23 +293,22 @@ class TestBoundingBoxSurface:
         pred, gt = pair
         for mask in pair:
             want = full_grid_surface(mask)
-            surface, idx = _surface(mask)
-            assert surface.dtype == bool and np.array_equal(surface, want)
-            assert surface.flags.f_contiguous == want.flags.f_contiguous
-            assert surface.flags.c_contiguous == want.flags.c_contiguous
+            field_in, idx = _surface(mask)
+            assert field_in.dtype == bool and np.array_equal(field_in, ~want)
+            assert field_in.flags.f_contiguous == want.flags.f_contiguous
+            assert field_in.flags.c_contiguous == want.flags.c_contiguous
             for got_axis, want_axis in zip(idx, np.nonzero(want)):
                 assert np.array_equal(got_axis, want_axis)
         ps, gs = full_grid_surface(pred), full_grid_surface(gt)
         want = np.concatenate([
-            _distances_at(gs, gt.spacing, np.nonzero(ps)),
-            _distances_at(ps, pred.spacing, np.nonzero(gs)),
+            _distances_at(~gs, gt.spacing, np.nonzero(ps)),
+            _distances_at(~ps, pred.spacing, np.nonzero(gs)),
         ])
         assert _pooled_surface_distances(pred, gt).tobytes() == want.tobytes()
 
     def test_empty_mask_has_no_surface(self):
-        surface, idx = _surface(make_mask(np.zeros((3, 4, 5))))
-        assert surface.shape == (3, 4, 5) and not surface.any()
-        assert [len(i) for i in idx] == [0, 0, 0]
+        with pytest.raises(UndefinedMetricError):
+            _surface(make_mask(np.zeros((3, 4, 5))))
 
 
 class TestCohenKappa:

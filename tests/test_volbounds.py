@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_mask
+from volkit import volbounds
 from volkit.segmetrics import confusion, region_metrics
 from volkit.volbounds import (
     avpe_bound,
@@ -104,6 +105,23 @@ class TestExhaustiveVerification:
 
     def test_sampled_8x8x8(self):
         assert verify_bounds_sampled((8, 8, 8), n_pairs=2000, seed=1) == 0
+
+    def test_verifiers_check_vpe_bounds_from_dice_itself(self, monkeypatch):
+        # A narrower interval than the closed forms must show up as violations in
+        # both verifiers: they check the function, not a copy of its formula.
+        real = volbounds.vpe_bounds_from_dice
+
+        def narrower(dice):
+            b = real(dice)
+            return volbounds.VpeBounds(lower=b.lower / 2, upper=b.upper / 2)
+
+        monkeypatch.setattr(volbounds, "vpe_bounds_from_dice", narrower)
+        violations = verify_bounds_exhaustive((2, 2, 1))
+        assert violations
+        for v in violations:
+            assert (v.lower, v.upper) == (real(v.dice).lower / 2, real(v.dice).upper / 2)
+            assert v.vpe == bin(v.pred_bits).count("1") / bin(v.gt_bits).count("1") - 1
+        assert verify_bounds_sampled((4, 4, 4), n_pairs=200, seed=3) > 0
 
     def test_identity_pairs_hit_equality(self):
         b = vpe_bounds_from_dice(1.0)
