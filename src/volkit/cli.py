@@ -90,7 +90,7 @@ def _unwritable(path, exc: OSError) -> _Exit:
 
 
 def _write(out, text: str):
-    """Write ``text`` to ``out``; ``-`` is stdout.
+    """Write ``text`` to ``out``, encoded as UTF-8 whatever the locale; ``-`` is stdout.
 
     A regular or new file is replaced through a temporary file beside it, so a
     failure partway leaves any earlier file whole and no temporary behind. A
@@ -103,12 +103,12 @@ def _write(out, text: str):
     path = Path(out)
     try:
         if path.exists() and not path.is_file():
-            with open(path, "w", newline="") as f:
+            with open(path, "w", newline="", encoding="utf-8") as f:
                 f.write(text)
             return
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
-            with open(tmp, "w", newline="") as f:
+            with open(tmp, "w", newline="", encoding="utf-8") as f:
                 f.write(text)
             os.replace(tmp, path)
         except BaseException:
@@ -128,41 +128,45 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _row_floats(path, number: int, row: dict, keys) -> list:
-    """The named cells of CSV row ``number`` (the header is row 1) as floats.
+def _eval_rows(path, required, optional=()) -> list:
+    """``[case_id, *required, *optional]`` for each row of eval CSV ``path``.
 
-    An empty or missing cell is undefined and reads as None. A cell that is
-    not a finite number, or a dice outside [0, 1], ends the command with exit
-    3 and a message naming the row.
+    The file is read as UTF-8, with or without a byte-order mark, whatever
+    the locale. A ``required`` column missing from the header ends the
+    command with exit 3. A row whose required cells are not all filled in is
+    skipped; an empty or missing optional cell is undefined and reads as None.
+    A cell that is not a finite number, or a dice outside [0, 1], ends the
+    command with exit 3 and a message naming the row (the header is row 1).
     """
-    out = []
-    for key in keys:
-        cell = row.get(key)
-        try:
-            value = float(cell) if cell else None
-        except ValueError:
-            value = math.nan
-        if value is None or (math.isfinite(value) and (key != "dice" or 0.0 <= value <= 1.0)):
-            out.append(value)
-            continue
-        wanted = "a dice in [0, 1]" if key == "dice" else "a finite number"
-        raise _Exit(
-            EXIT_IO, f"{path} row {number} (case {row.get('case_id', '?')}): {key}={cell!r} is not {wanted}"
-        )
-    return out
-
-
-def _read_csv(path):
-    """The header and rows of CSV ``path``; exit 3 if it cannot be read."""
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
-            rows = list(reader)
+            header, table = reader.fieldnames or (), list(reader)
     except OSError as exc:
         raise _Exit(EXIT_IO, str(exc)) from exc
     except (UnicodeError, csv.Error) as exc:
         raise _Exit(EXIT_IO, f"{path} is not a readable CSV: {exc}") from exc
-    return reader.fieldnames, rows
+    for key in required:
+        if key not in header:
+            raise _Exit(EXIT_IO, f"{path} has no {key} column")
+    rows = []
+    for number, row in enumerate(table, start=2):
+        if not all(row[key] for key in required):
+            continue
+        case_id = row.get("case_id", "?")
+        values = [case_id]
+        for key in (*required, *optional):
+            cell = row.get(key)
+            try:
+                value = float(cell) if cell else None
+            except ValueError:
+                value = math.nan
+            if value is not None and not (math.isfinite(value) and (key != "dice" or 0.0 <= value <= 1.0)):
+                wanted = "a dice in [0, 1]" if key == "dice" else "a finite number"
+                raise _Exit(EXIT_IO, f"{path} row {number} (case {case_id}): {key}={cell!r} is not {wanted}")
+            values.append(value)
+        rows.append(values)
+    return rows
 
 
 # --- the dataset pipeline: eval and agree -------------------------------
@@ -171,8 +175,10 @@ def _read_csv(path):
 def discover_pairs(pred_dir: str, gt_dir: str) -> dict[str, tuple[str, str]]:
     """Pair mask files across two directories by filename stem, in stem order.
 
-    A file with no partner is skipped with a warning on stderr. A stem naming
-    two files in one directory (``c.nii``, ``c.nii.gz``) is skipped in both, with one.
+    The stem, the case id, is the file name's bytes read as UTF-8 whatever the
+    locale; a file whose name is not UTF-8 is skipped with a warning on stderr.
+    So is a file with no partner. A stem naming two files in one directory
+    (``c.nii``, ``c.nii.gz``) is skipped in both, with one.
     """
     ambiguous = set()
 
@@ -180,7 +186,11 @@ def discover_pairs(pred_dir: str, gt_dir: str) -> dict[str, tuple[str, str]]:
         out = {}
         for p in sorted(Path(d).iterdir()):
             if p.name.endswith((".nii", ".nii.gz")):
-                stem = p.name.removesuffix(".gz").removesuffix(".nii")
+                try:
+                    stem = os.fsencode(p.name.removesuffix(".gz").removesuffix(".nii")).decode("utf-8")
+                except UnicodeDecodeError:
+                    _progress(f"warning: {os.fsencode(p)!r} is not a UTF-8 file name; skipped")
+                    continue
                 if stem in out:
                     ambiguous.add(stem)
                     _progress(f"warning: {out[stem]} and {p} share the stem {stem!r}; skipped")
@@ -391,24 +401,16 @@ def cmd_bounds(args) -> int:
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
-    fieldnames, rows = _read_csv(args.audit)
-    if fieldnames is None or "dice" not in fieldnames:
-        raise _Exit(EXIT_IO, f"{args.audit} is not an eval CSV")
-
     violations = []
     checked = 0
-    for number, row in enumerate(rows, start=2):
-        if not row.get("dice") or not row.get("vpe"):
-            continue
-        dice, vpe = _row_floats(args.audit, number, row, ("dice", "vpe"))
+    for case_id, dice, vpe in _eval_rows(args.audit, ("dice", "vpe")):
         if dice <= 0:
             continue
         b = vpe_bounds_from_dice(dice)
         checked += 1
         if vpe < b.lower - _AUDIT_TOL or vpe > b.upper + _AUDIT_TOL:
             violations.append(
-                {"case_id": row.get("case_id", "?"), "dice": dice, "vpe": vpe,
-                 "lower": b.lower, "upper": b.upper}
+                {"case_id": case_id, "dice": dice, "vpe": vpe, "lower": b.lower, "upper": b.upper}
             )
     _write(args.out, _dump_json({"checked": checked, "violations": violations}))
     if violations:
@@ -466,18 +468,11 @@ def cmd_attn_bench(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    _, rows = _read_csv(args.eval_csv)
-    triples = [
-        _row_floats(args.eval_csv, number, r, ("gt_ml", "pred_ml", "dice", "vpe"))
-        for number, r in enumerate(rows, start=2)
-        if r.get("gt_ml") and r.get("pred_ml") and r.get("dice")
-    ]
-    if len(triples) < 2:
+    rows = _eval_rows(args.eval_csv, ("gt_ml", "pred_ml", "dice"), ("vpe",))
+    if len(rows) < 2:
         raise _Exit(EXIT_IO, "need at least two cases with volume columns")
-    gt = [t[0] for t in triples]
-    pred = [t[1] for t in triples]
-    dices = [t[2] for t in triples]
-    abs_vpes = [abs(t[3]) for t in triples if t[3] is not None]
+    _, gt, pred, dices, vpes = zip(*rows)
+    abs_vpes = [abs(v) for v in vpes if v is not None]
     try:
         fit = linear_fit(gt, pred)
         mean_dice = fsum_mean(dices)

@@ -108,25 +108,18 @@ def _betacf(x: float, a: float, b: float) -> float:
     h = d
     for m in range(1, _BETAINC_MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        even = m * (b - m) * x / ((qam + m2) * (a + m2))
+        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        for aa in (even, odd):  # convergence is judged on the odd half-step's delta
+            d = 1.0 + aa * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + aa / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETAINC_TOL:
             return h
     raise RuntimeError("incomplete beta continued fraction did not converge")
@@ -181,8 +174,11 @@ def paired_t_test(a, b) -> TTestResult:
     if not all(map(math.isfinite, d)):
         raise ValueError("paired differences must be finite")
     df = len(d) - 1
-    mean = fmean(d)
-    sd = stdev(d)
+    try:
+        mean = fmean(d)
+        sd = stdev(d)
+    except OverflowError as exc:
+        raise ValueError("paired differences overflow the float range") from exc
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t=0.0, df=df, p=1.0)

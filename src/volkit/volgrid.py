@@ -77,8 +77,8 @@ class VolumeGrid:
 
 def is_binary(data: np.ndarray) -> bool:
     """True iff every voxel is exactly 0 or 1 (-0.0 counts as 0, NaN as neither)."""
-    if data.dtype.kind in "biu":
-        return bool(data.min() >= 0 and data.max() <= 1)
+    if data.dtype.kind in "biu":  # only signed data can hold a value below 0
+        return bool(data.max() <= 1 and (data.dtype.kind != "i" or data.min() >= 0))
     # one full-grid boolean temporary at a time
     return int(np.count_nonzero(data == 0)) + int(np.count_nonzero(data == 1)) == data.size
 

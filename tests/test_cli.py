@@ -238,6 +238,47 @@ class TestEval:
         rows = (out / csv_name).read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["beta"]
 
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_non_utf8_file_name_is_skipped_in_both_dirs(self, tmp_path, capsys, command, csv_name):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        name = os.fsdecode(b"caf\xff.nii")
+        try:
+            for d in (pred_dir, gt_dir):
+                (d / name).write_bytes((d / "alpha.nii").read_bytes())
+        except OSError:
+            pytest.skip("the filesystem refuses a file name that is not UTF-8")
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 2
+        for d, warning in zip((pred_dir, gt_dir), warnings):
+            assert repr(os.fsencode(d / name)) in warning and "no partner" not in warning
+        rows = (out / csv_name).read_text(encoding="utf-8").splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["alpha", "beta"]
+        assert (out / "summary.json").exists()
+
+    def test_ascii_locale_reads_back_a_non_ascii_case_id(self, tmp_path):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        gt = np.zeros((3, 3, 1), dtype=np.uint8)
+        gt[1:, 1:, 0] = 1
+        gt[0, 0, 0] = 1
+        write_mask_pair(tmp_path, "café.nii", np.ones((3, 3, 1)), gt)
+        out = tmp_path / "out"
+        code = (
+            "import sys\n"
+            "from volkit.cli import main\n"
+            "pred, gt, out = sys.argv[1:]\n"
+            "assert main(['eval', pred, gt, '--out', out]) == 0\n"
+            "assert main(['bounds', '--audit', out + '/cases.csv', '--out', out + '/audit.json']) == 0\n"
+            "assert main(['volume', out + '/cases.csv', '--out', out + '/volume.json']) == 0\n"
+        )
+        result = run_fresh(code, pred_dir, gt_dir, out, env={"LC_ALL": "C", "PYTHONUTF8": "0"}, timeout=120)
+        assert result.returncode == 0, result.stderr
+        rows = (out / "cases.csv").read_text(encoding="utf-8").splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["alpha", "beta", "café"]
+        assert json.loads((out / "audit.json").read_text())["checked"] == 3
+        assert json.loads((out / "volume.json").read_text())["n"] == 3
+
     @pytest.mark.parametrize("slope,inter", [(np.nan, 0.0), (np.inf, 0.0), (np.nan, np.nan)])
     def test_non_finite_scl_slope_scores_like_the_clean_file(self, tmp_path, capsys, slope, inter):
         mask = np.zeros((4, 3, 2), dtype=np.uint8)
@@ -528,6 +569,35 @@ class TestBounds:
         assert str(bad) in err and "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("text,column", [
+        ("case_id,dice,kappa\nc0,0.9,0.8\n", "vpe"),  # an agree CSV
+        ("case_id,vpe\nc0,0.1\n", "dice"),
+        ("", "dice"),
+    ], ids=["agree-csv", "no-dice", "empty-file"])
+    def test_audit_missing_column_is_io_error(self, tmp_path, capsys, text, column):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        report = tmp_path / "a.json"
+        assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"no {column} column" in err and "Traceback" not in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_audit_violations_keep_case_ids(self, tmp_path, encoding):
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "ok,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
+            "café,0.9,0.81,1,1,0,0,5,1,4\n",
+            encoding=encoding,
+        )
+        report = tmp_path / "a.json"
+        assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_CHECK
+        result = json.loads(report.read_text())
+        assert result["checked"] == 2
+        assert [v["case_id"] for v in result["violations"]] == ["café"]
+
 
 class TestAttnCheck:
     def test_default_run_passes(self):
@@ -762,6 +832,33 @@ class TestVolume:
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("column", ["gt_ml", "pred_ml", "dice"])
+    def test_missing_column_is_io_error(self, tmp_path, capsys, column):
+        lines = ["case_id,dice,pred_ml,gt_ml,vpe", "c0,0.9,1,1.1,-0.0909091", "c1,0.8,2,2.1,-0.047619"]
+        drop = lines[0].split(",").index(column)
+        path = tmp_path / "cases.csv"
+        path.write_text("".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop) + "\n"
+                                for line in lines))
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert f"no {column} column" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header,cells", [
+        ("case_id,dice,pred_ml,gt_ml", ["c0,0.9,11,10", "c1,0.8,18,20", "c2,0.85,33,30"]),
+        ("case_id,dice,pred_ml,gt_ml,vpe", ["c0,0.9,11,10,", "c1,0.8,18,20,", "c2,0.85,33,30,"]),
+    ], ids=["no-vpe-column", "empty-vpe-cells"])
+    def test_without_vpe_still_reports(self, tmp_path, header, cells):
+        path = tmp_path / "cases.csv"
+        path.write_text("\n".join([header, *cells]) + "\n")
+        out = tmp_path / "vol.json"
+        assert main(["volume", str(path), "--out", str(out)]) == EXIT_OK
+        result = json.loads(out.read_text())
+        assert result["n"] == 3 and result["mean_abs_vpe"] is None
+        assert result["mean_dice"] == pytest.approx(0.85)
+        assert "avpe_bound" not in result
 
 
 class TestUnwritableOutput:

@@ -154,6 +154,12 @@ class TestTTest:
         with pytest.raises(ValueError, match="finite"):
             paired_t_test(a, [-1e308, 1e308, 0.0])
 
+    @pytest.mark.parametrize("a", [[1.7e308, 1.7e308, 1.0], [1.7e308, -1.7e308]])
+    def test_differences_beyond_float_range_are_value_error(self, a):
+        # finite differences whose sum (the mean) or sum of squares (the sd) overflows
+        with pytest.raises(ValueError, match="overflow the float range"):
+            paired_t_test(a, [0.0] * len(a))
+
     def test_p_monotone_in_abs_t(self):
         ps = [t_two_sided_p(t, 7) for t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
         assert all(a > b for a, b in zip(ps, ps[1:]))

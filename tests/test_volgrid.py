@@ -380,6 +380,15 @@ class TestIsBinary:
     def test_int16_out_of_range_rejected(self, value):
         assert not is_binary(np.array([[[0, 1, value]]], dtype=np.int16))
 
+    @pytest.mark.parametrize("dtype,value,expected", [
+        ("uint8", 1, True), ("uint8", 2, False), ("uint16", 300, False), ("bool", True, True)])
+    def test_unsigned_and_bool_take_only_the_maximum(self, dtype, value, expected):
+        class MaxOnly(np.ndarray):
+            def min(self, *args, **kwargs):
+                raise AssertionError("min() of data that cannot be negative")
+
+        assert is_binary(np.array([[[0, 1, value]]], dtype=dtype).view(MaxOnly)) is expected
+
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("value,expected", [
         (0.5, False), (np.nan, False), (-0.0, True), (np.inf, False), (-np.inf, False)])
