@@ -218,7 +218,8 @@ def _load_mask(path: str, threshold: float):
 def _worker_mem_mb():
     """The per-worker address-space cap in MB from the environment, or None if unset.
 
-    Exits 2 unless the value is a positive whole number.
+    Exits 2 unless the value is a positive whole number of megabytes that
+    ``setrlimit`` takes: at most ``sys.maxsize`` bytes and the hard limit.
     """
     value = os.environ.get(WORKER_MEM_ENV)
     if not value:
@@ -229,6 +230,12 @@ def _worker_mem_mb():
         mem_mb = 0
     if mem_mb <= 0:
         raise _Exit(EXIT_USAGE, f"{WORKER_MEM_ENV}={value!r} is not a positive whole number of megabytes")
+    import resource
+
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    most = sys.maxsize if hard == resource.RLIM_INFINITY else min(hard, sys.maxsize)
+    if mem_mb << 20 > most:
+        raise _Exit(EXIT_USAGE, f"{WORKER_MEM_ENV}={value!r} is above the address-space limit of {most >> 20} MB")
     return mem_mb
 
 
@@ -388,9 +395,11 @@ def cmd_bounds(args) -> int:
         lo, hi, step = args.curve
         if not (0 < step < math.inf and 0 < lo <= hi <= 1):
             raise _Exit(EXIT_USAGE, "curve range must satisfy 0 < MIN <= MAX <= 1 with a finite STEP > 0")
-        n_rows = math.ceil((hi + step * 0.5 - lo) / step)
+        n_rows = (hi + step * 0.5 - lo) / step  # inf for a subnormal STEP, which ceil refuses
         if n_rows > _CURVE_MAX_ROWS:
-            raise _Exit(EXIT_USAGE, f"--curve STEP {step:g} gives {n_rows} rows, more than {_CURVE_MAX_ROWS}")
+            shown = math.ceil(n_rows) if n_rows < math.inf else n_rows
+            raise _Exit(EXIT_USAGE, f"--curve STEP {step:g} gives {shown} rows, more than {_CURVE_MAX_ROWS}")
+        n_rows = math.ceil(n_rows)
         # np.arange(lo, hi + step/2, step), value for value; those within
         # 1e-12 above 1.0 are rounding error and read as 1.0
         delta = (lo + step) - lo

@@ -298,7 +298,8 @@ class TestEval:
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("value", ["lots", "1.5", "0"])
+    # 99999999999999999999 MB is more bytes than setrlimit takes (a C long)
+    @pytest.mark.parametrize("value", ["lots", "1.5", "0", "99999999999999999999", str((sys.maxsize >> 20) + 1)])
     def test_bad_worker_mem_is_usage_error(self, tmp_path, monkeypatch, capsys, command, jobs, value):
         pred_dir, gt_dir = two_case_dataset(tmp_path)
         monkeypatch.setenv(WORKER_MEM_ENV, value)
@@ -306,6 +307,24 @@ class TestEval:
         assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", jobs]) == EXIT_USAGE
         assert WORKER_MEM_ENV in capsys.readouterr().err
         assert not out.exists()
+
+    def test_worker_mem_above_the_hard_limit_is_usage_error(self, tmp_path):
+        # setrlimit may not raise the hard limit: ValueError in every worker
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (4000 << 20, 4000 << 20))
+
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        result = run_fresh(CLI, "eval", pred_dir, gt_dir, "--out", out,
+                           env={WORKER_MEM_ENV: "8000"}, timeout=120, preexec_fn=cap)
+        assert result.returncode == EXIT_USAGE, result.stderr
+        assert result.stderr.startswith(f"error: {WORKER_MEM_ENV}='8000' ") and "4000 MB" in result.stderr
+        assert not out.exists()
+        result = run_fresh(CLI, "eval", pred_dir, gt_dir, "--out", out,
+                           env={WORKER_MEM_ENV: "4000"}, timeout=120, preexec_fn=cap)
+        assert result.returncode == EXIT_OK, result.stderr
 
     def test_worker_memory_cap_is_set_after_the_libraries_load(self):
         # Loading numpy's and scipy's shared objects under the cap failed (ImportError)
@@ -472,7 +491,8 @@ class TestBounds:
     def test_bad_step_usage_error(self, tmp_path):
         assert main(["bounds", "--curve", "0.5", "0.9", "0"]) == EXIT_USAGE
 
-    @pytest.mark.parametrize("step", ["inf", "nan"])
+    # 1e-320 is finite, but (MAX - MIN) / STEP is not
+    @pytest.mark.parametrize("step", ["inf", "nan", "1e-320"])
     def test_non_finite_step_is_usage_error(self, tmp_path, capsys, step):
         out = tmp_path / "curve.csv"
         assert main(["bounds", "--curve", "0.1", "1", step, "--out", str(out)]) == EXIT_USAGE

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_mask
+from oracles import brute_bound_violations
 from volkit import volbounds
 from volkit.segmetrics import confusion, region_metrics
 from volkit.volbounds import (
@@ -92,23 +95,14 @@ class TestAvpeBound:
         assert np.mean(np.abs(vpes)) > avpe_bound(float(np.mean(dices)))
 
 
+def count_triple(pred_bits, gt_bits):
+    return pred_bits.bit_count(), gt_bits.bit_count(), (pred_bits & gt_bits).bit_count()
+
+
 class TestExhaustiveVerification:
-    def test_3x3x1_zero_violations(self):
-        assert verify_bounds_exhaustive((3, 3, 1)) == []
-
-    def test_2x2x2_zero_violations(self):
-        assert verify_bounds_exhaustive((2, 2, 2)) == []
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError):
-            verify_bounds_exhaustive((4, 4, 1))
-
-    def test_sampled_8x8x8(self):
-        assert verify_bounds_sampled((8, 8, 8), n_pairs=2000, seed=1) == 0
-
-    def test_verifiers_check_vpe_bounds_from_dice_itself(self, monkeypatch):
-        # A narrower interval than the closed forms must show up as violations in
-        # both verifiers: they check the function, not a copy of its formula.
+    @pytest.fixture
+    def narrowed_bounds(self, monkeypatch):
+        """Halve ``vpe_bounds_from_dice``'s interval; returns the real function."""
         real = volbounds.vpe_bounds_from_dice
 
         def narrower(dice):
@@ -116,12 +110,50 @@ class TestExhaustiveVerification:
             return volbounds.VpeBounds(lower=b.lower / 2, upper=b.upper / 2)
 
         monkeypatch.setattr(volbounds, "vpe_bounds_from_dice", narrower)
+        return real
+
+    def test_3x3x1_zero_violations(self):
+        assert verify_bounds_exhaustive((3, 3, 1)) == []
+
+    def test_2x2x2_zero_violations(self):
+        assert verify_bounds_exhaustive((2, 2, 2)) == []
+
+    def test_5x5x5_zero_violations(self):
+        assert verify_bounds_exhaustive((5, 5, 5)) == []
+
+    def test_size_cap(self):
+        with pytest.raises(ValueError):
+            verify_bounds_exhaustive((6, 6, 6))
+
+    def test_negative_voxel_count_is_value_error(self):
+        with pytest.raises(ValueError):
+            verify_bounds_exhaustive((-3, 3, 1))
+
+    def test_sampled_8x8x8(self):
+        assert verify_bounds_sampled((8, 8, 8), n_pairs=2000, seed=1) == 0
+
+    def test_verifiers_check_vpe_bounds_from_dice_itself(self, narrowed_bounds):
+        # A narrower interval than the closed forms must show up as violations in
+        # both verifiers: they check the function, not a copy of its formula.
+        real = narrowed_bounds
         violations = verify_bounds_exhaustive((2, 2, 1))
         assert violations
         for v in violations:
             assert (v.lower, v.upper) == (real(v.dice).lower / 2, real(v.dice).upper / 2)
             assert v.vpe == bin(v.pred_bits).count("1") / bin(v.gt_bits).count("1") - 1
         assert verify_bounds_sampled((4, 4, 4), n_pairs=200, seed=3) > 0
+
+    @pytest.mark.parametrize("grid_dims", [(2, 2, 1), (2, 2, 2), (3, 3, 1)])
+    def test_count_triples_flag_what_the_pair_loop_flags(self, narrowed_bounds, grid_dims):
+        n_vox = math.prod(grid_dims)
+        violations = verify_bounds_exhaustive(grid_dims)
+        # one witness pair per triple, on the grid, whose counts are that triple
+        assert all(max(v.pred_bits, v.gt_bits) < 1 << n_vox for v in violations)
+        got = {count_triple(v.pred_bits, v.gt_bits): (v.dice, v.vpe, v.lower, v.upper) for v in violations}
+        assert len(got) == len(violations)
+        pairs = brute_bound_violations(n_vox, volbounds._outside_bounds)
+        assert len(pairs) > len(violations)
+        assert got == {count_triple(pred_bits, gt_bits): tuple(bad) for pred_bits, gt_bits, *bad in pairs}
 
     def test_identity_pairs_hit_equality(self):
         b = vpe_bounds_from_dice(1.0)
