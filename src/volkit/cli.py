@@ -66,6 +66,10 @@ _AUDIT_TOL = 1e-4
 # The most rows ``bounds --curve`` tabulates; a smaller STEP is a usage error.
 _CURVE_MAX_ROWS = 10**5
 
+# Eval CSV columns whose finite cells are further limited: (least, greatest, what a cell must be).
+# A vpe below -1 would need a negative predicted volume.
+_CELL_RANGES = {"dice": (0.0, 1.0, "a dice in [0, 1]"), "vpe": (-1.0, math.inf, "a finite vpe >= -1")}
+
 
 def _fmt(x) -> str:
     if x is None:
@@ -118,9 +122,18 @@ def _write(out, text: str):
         raise _unwritable(out, exc) from exc
 
 
-def _csv(header: str, rows) -> str:
-    """CSV text: the header line, then one line per row of already-formatted cells."""
-    return "".join(f"{line}\n" for line in [header, *map(",".join, rows)])
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted, with ``"`` doubled, if it holds ``,``, ``"``, CR or LF.
+
+    ``csv.writer`` with LF line ends would leave a CR bare, which the reader takes for a line end.
+    """
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def _csv(header, rows) -> str:
+    """CSV text that ``_eval_rows`` reads back: the header fields, then one
+    LF-ended line per row of already-formatted cells."""
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
 
 
 def _dump_json(obj) -> str:
@@ -135,8 +148,9 @@ def _eval_rows(path, required, optional=()) -> list:
     the locale. A ``required`` column missing from the header ends the
     command with exit 3. A row whose required cells are not all filled in is
     skipped; an empty or missing optional cell is undefined and reads as None.
-    A cell that is not a finite number, or a dice outside [0, 1], ends the
-    command with exit 3 and a message naming the row (the header is row 1).
+    A cell that is not a finite number, or a dice outside [0, 1], or a vpe
+    below -1, ends the command with exit 3 and a message naming the row (the
+    header is row 1).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -161,8 +175,8 @@ def _eval_rows(path, required, optional=()) -> list:
                 value = float(cell) if cell else None
             except ValueError:
                 value = math.nan
-            if value is not None and not (math.isfinite(value) and (key != "dice" or 0.0 <= value <= 1.0)):
-                wanted = "a dice in [0, 1]" if key == "dice" else "a finite number"
+            least, greatest, wanted = _CELL_RANGES.get(key, (-math.inf, math.inf, "a finite number"))
+            if value is not None and not (math.isfinite(value) and least <= value <= greatest):
                 raise _Exit(EXIT_IO, f"{path} row {number} (case {case_id}): {key}={cell!r} is not {wanted}")
             values.append(value)
         rows.append(values)
@@ -313,7 +327,7 @@ class _Dataset:
 
     measure: Callable  # (mask_a, mask_b) -> the case's result, in a worker
     csv_name: str
-    header: str
+    header: tuple[str, ...]
     row: Callable  # (case_id, result) -> the case's CSV cells
     summary: Callable  # (args, [(case_id, result)]) -> summary.json's own keys
 
@@ -321,11 +335,11 @@ class _Dataset:
 _DATASETS = {
     "eval": _Dataset(
         _evaluate, "cases.csv",
-        "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe",
+        ("case_id", "dice", "jaccard", "precision", "recall", "hd95_mm", "assd_mm", "pred_ml", "gt_ml", "vpe"),
         _case_csv_row, _eval_summary,
     ),
     "agree": _Dataset(
-        _agreement, "agreement.csv", "case_id,dice,kappa", _agreement_csv_row, _agreement_summary
+        _agreement, "agreement.csv", ("case_id", "dice", "kappa"), _agreement_csv_row, _agreement_summary
     ),
 }
 
@@ -406,7 +420,7 @@ def cmd_bounds(args) -> int:
         grid = (lo + i * delta for i in range(n_rows))
         rows = bound_curve([min(x, 1.0) for x in grid if x <= 1.0 + 1e-12])
         keys = BOUND_CURVE_CSV_HEADER.split(",")
-        _write(args.out, _csv(BOUND_CURVE_CSV_HEADER, ([_fmt(r[key]) for key in keys] for r in rows)))
+        _write(args.out, _csv(keys, ([_fmt(r[key]) for key in keys] for r in rows)))
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
@@ -472,7 +486,7 @@ def cmd_attn_bench(args) -> int:
         if len(sub) >= 2:
             slope = linattn.fit_loglog_slope([r["n"] for r in sub], [r["median_seconds"] for r in sub])
             lines.append(["slope", str(args.d), variant, _fmt(slope), ""])
-    _write(args.out, _csv("n,d,variant,median_seconds,flops", lines))
+    _write(args.out, _csv(("n", "d", "variant", "median_seconds", "flops"), lines))
     return EXIT_OK
 
 

@@ -4,10 +4,11 @@ For any mask pair with overlap, the relative volume prediction error
 ``vpe = pred/gt - 1`` is squeezed between two closed forms of the Dice
 coefficient: ``2/(2 - dice) - 2 <= vpe <= 2/dice - 2``. The cohort mean of
 ``|vpe|`` is in turn bounded by ``2/mean_dice - 2``. This module provides
-the closed forms, two verifiers and the bound-curve table. The exhaustive
-verifier covers every count triple of a grid of up to 125 voxels, and so every
-mask pair; the sampled one draws larger masks. Both check ``vpe_bounds_from_dice``
-itself; only the sampled one imports numpy, to draw its masks.
+the closed forms, two verifiers and the bound-curve table. The check reads
+only a mask pair's count triple ``(n_pred, n_gt, overlap)``. The exhaustive
+verifier covers every triple of a grid of up to 125 voxels, and so every mask
+pair; the sampled one draws triples of larger grids. Both check
+``vpe_bounds_from_dice`` itself, and neither loads numpy.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from math import prod
 BOUND_CURVE_CSV_HEADER = "dice,vpe_lower,vpe_upper,abs_lower,abs_upper"
 
 _EXHAUSTIVE_VOXEL_CAP = 125  # 5x5x5
+_TOL = 1e-12  # float rounding allowed beyond a closed-form bound
 
 
 @dataclass(frozen=True)
@@ -57,69 +59,67 @@ def avpe_bound(mean_dice: float) -> float:
     return 2.0 / mean_dice - 2.0
 
 
-def _outside_bounds(n_pred: int, n_gt: int, overlap: int, tol: float):
+def _outside_bounds(n_pred: int, n_gt: int, overlap: int):
     """(dice, vpe, lower, upper) of a pair whose vpe leaves ``vpe_bounds_from_dice(dice)``
-    by more than ``tol``, or whose interval has ``|lower| > upper``; None otherwise.
+    by more than ``_TOL``, or whose interval has ``|lower| > upper``; None otherwise.
 
     The pair is given by its foreground counts, with ``n_gt`` and ``overlap`` positive.
     """
     dice = 2.0 * overlap / (n_pred + n_gt)
-    v = n_pred / n_gt - 1.0
+    v = vpe(n_pred, n_gt)
     b = vpe_bounds_from_dice(dice)
     # HM-GM consequence: |lower| <= upper must hold pointwise too.
-    if v < b.lower - tol or v > b.upper + tol or -b.lower > b.upper + tol:
+    if v < b.lower - _TOL or v > b.upper + _TOL or -b.lower > b.upper + _TOL:
         return dice, v, b.lower, b.upper
     return None
 
 
-def verify_bounds_exhaustive(grid_dims=(3, 3, 1), tol: float = 1e-12) -> list[BoundViolation]:
+def _overlaps(n_pred: int, n_gt: int, n_vox: int) -> range:
+    """The positive overlaps of ``n_pred`` and ``n_gt`` foreground voxels on an ``n_vox``-voxel grid."""
+    return range(max(1, n_pred + n_gt - n_vox), min(n_pred, n_gt) + 1)
+
+
+def verify_bounds_exhaustive(grid_dims=(3, 3, 1)) -> list[BoundViolation]:
     """Check the vpe bounds on EVERY mask pair with non-empty gt and overlap > 0.
 
-    The check reads only a pair's counts, so this runs over their triples
-    ``(n_pred, n_gt, overlap)``. It returns the (expected empty) violation list:
-    one per violating triple, holding one witness pair of that triple.
+    This runs over the pairs' count triples ``(n_pred, n_gt, overlap)``. It
+    returns the (expected empty) violation list: one per violating triple,
+    holding one witness pair of that triple.
     """
     n_vox = prod(grid_dims)
     if not 0 <= n_vox <= _EXHAUSTIVE_VOXEL_CAP:
         raise ValueError(f"{n_vox} voxels: exhaustive enumeration takes 0 to {_EXHAUSTIVE_VOXEL_CAP}")
 
     sizes = range(1, n_vox + 1)
-    triples = ((n_pred, n_gt, overlap) for n_pred in sizes for n_gt in sizes
-               for overlap in range(max(1, n_pred + n_gt - n_vox), min(n_pred, n_gt) + 1))
+    triples = ((p, g, o) for p in sizes for g in sizes for o in _overlaps(p, g, n_vox))
     # witness: pred the low p bits, gt g bits from bit p - o; they share o bits, within n_vox
     return [BoundViolation((1 << p) - 1, ((1 << g) - 1) << (p - o), *bad)
-            for p, g, o in triples if (bad := _outside_bounds(p, g, o, tol))]
+            for p, g, o in triples if (bad := _outside_bounds(p, g, o))]
 
 
-def verify_bounds_sampled(grid_dims, n_pairs: int, seed: int = 0, tol: float = 1e-12) -> int:
+def verify_bounds_sampled(grid_dims, n_pairs: int, seed: int = 0) -> int:
     """Sampled extension of the exhaustive check for larger grids.
 
-    Draws random mask pairs (rejecting empty-gt and zero-overlap draws) and
-    returns the number of bound violations (expected 0).
+    Draws ``n_pairs`` count triples of the grid: ``n_pred`` and ``n_gt``
+    uniformly from 1 to the voxel count, then their overlap uniformly from the
+    positive ones the grid allows. Returns the number of bound violations
+    (expected 0).
     """
-    import numpy as np
+    import random
 
-    rng = np.random.default_rng(seed)
     n_vox = prod(grid_dims)
-    preds = rng.random((n_pairs, n_vox)) < rng.random((n_pairs, 1))
-    gts = rng.random((n_pairs, n_vox)) < rng.random((n_pairs, 1))
-    counts = zip(*(m.sum(axis=1).tolist() for m in (preds, gts, preds & gts)))
-    return sum(1 for n_pred, n_gt, overlap in counts
-               if overlap and _outside_bounds(n_pred, n_gt, overlap, tol))
+    if n_vox < 0 or n_pairs < 0:
+        raise ValueError(f"{n_vox} voxels, {n_pairs} pairs: both must be at least 0")
+    rng = random.Random(seed)
+    violations = 0
+    for _ in range(n_pairs if n_vox else 0):
+        n_pred, n_gt = rng.randint(1, n_vox), rng.randint(1, n_vox)
+        violations += _outside_bounds(n_pred, n_gt, rng.choice(_overlaps(n_pred, n_gt, n_vox))) is not None
+    return violations
 
 
 def bound_curve(dice_grid) -> list[dict]:
-    """Rows of (dice, vpe_lower, vpe_upper, abs_lower, abs_upper)."""
-    rows = []
-    for dice in dice_grid:
-        b = vpe_bounds_from_dice(float(dice))
-        rows.append(
-            {
-                "dice": float(dice),
-                "vpe_lower": b.lower,
-                "vpe_upper": b.upper,
-                "abs_lower": abs(b.lower),
-                "abs_upper": b.upper,
-            }
-        )
-    return rows
+    """Rows of (dice, vpe_lower, vpe_upper, abs_lower, abs_upper), keyed by ``BOUND_CURVE_CSV_HEADER``."""
+    keys = BOUND_CURVE_CSV_HEADER.split(",")
+    bounds = ((dice, vpe_bounds_from_dice(dice)) for dice in map(float, dice_grid))
+    return [dict(zip(keys, (dice, b.lower, b.upper, abs(b.lower), b.upper))) for dice, b in bounds]

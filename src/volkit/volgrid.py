@@ -15,12 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# NIfTI-1 datatype codes for the dtypes we support.
+# NIfTI-1 datatype codes (and bitpix) for the dtypes we support.
 _DTYPE_TO_CODE = {
     "uint8": (2, 8),
     "int16": (4, 16),
+    "int32": (8, 32),
     "float32": (16, 32),
     "float64": (64, 64),
+    "int8": (256, 8),
+    "uint16": (512, 16),
+    "uint32": (768, 32),
+    "int64": (1024, 64),
+    "uint64": (1280, 64),
 }
 _CODE_TO_DTYPE = {code: name for name, (code, _) in _DTYPE_TO_CODE.items()}
 

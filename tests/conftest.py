@@ -1,5 +1,7 @@
 import gzip
+import os
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +9,19 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import volkit
 from volkit.volgrid import BinaryMask, VolumeGrid
+
+
+def run_fresh(code, *args, env=(), **kwargs):
+    """Run ``code`` in a new interpreter with this checkout's ``src`` first on the path.
+
+    ``env`` adds environment variables; ``kwargs`` go to ``subprocess.run``.
+    """
+    src = str(Path(volkit.__file__).resolve().parents[1])
+    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
+                          capture_output=True, text=True, **kwargs)
 
 
 def make_mask(data, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:
@@ -34,7 +48,10 @@ def build_nifti1_bytes(data, spacing, byte_order="<"):
     layout (348-byte header, 4 pad bytes, voxels x-fastest). Independent of
     the package writer; used as the third-party-file oracle."""
     data = np.asarray(data)
-    code = {"uint8": 2, "int16": 4, "float32": 16, "float64": 64}[data.dtype.name]
+    code, pack_char = {
+        "uint8": (2, "B"), "int16": (4, "h"), "int32": (8, "i"), "float32": (16, "f"), "float64": (64, "d"),
+        "int8": (256, "b"), "uint16": (512, "H"), "uint32": (768, "I"), "int64": (1024, "q"), "uint64": (1280, "Q"),
+    }[data.dtype.name]
     bitpix = data.dtype.itemsize * 8
     nx, ny, nz = data.shape
 
@@ -48,7 +65,6 @@ def build_nifti1_bytes(data, spacing, byte_order="<"):
     header[344:348] = b"n+1\x00"
 
     voxels = bytearray()
-    pack_char = {2: "B", 4: "h", 16: "f", 64: "d"}[code]
     for z in range(nz):
         for y in range(ny):
             for x in range(nx):

@@ -117,14 +117,14 @@ def t_two_sided_p_quadrature(t, df):
     return min(1.0, 2.0 * tail)
 
 
-def brute_bound_violations(n_vox, outside_bounds, tol=1e-12):
+def brute_bound_violations(n_vox, outside_bounds):
     """Every mask pair on ``n_vox`` voxels, as integers, with non-empty gt and
-    overlap > 0 that ``outside_bounds(n_pred, n_gt, overlap, tol)`` flags:
+    overlap > 0 that ``outside_bounds(n_pred, n_gt, overlap)`` flags:
     ``(pred_bits, gt_bits, *flagged)`` for each, all 4^n_vox pairs tried."""
     violations = []
     for pred_bits in range(1 << n_vox):
         for gt_bits in range(1, 1 << n_vox):
             overlap = (pred_bits & gt_bits).bit_count()
-            if overlap and (bad := outside_bounds(pred_bits.bit_count(), gt_bits.bit_count(), overlap, tol)):
+            if overlap and (bad := outside_bounds(pred_bits.bit_count(), gt_bits.bit_count(), overlap)):
                 violations.append((pred_bits, gt_bits, *bad))
     return violations

@@ -4,16 +4,14 @@ import json
 import os
 import stat
 import struct
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import HOSTILE_KINDS, build_nifti1_bytes, hostile_nifti_bytes, make_mask
+from conftest import HOSTILE_KINDS, build_nifti1_bytes, hostile_nifti_bytes, make_mask, run_fresh
 from phantom import generate_phantom_dataset
-import volkit
 from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _fmt, main
 from volkit.volbounds import BOUND_CURVE_CSV_HEADER, bound_curve
 from volkit.volgrid import VolumeGrid, load_nifti, write_nifti
@@ -159,6 +157,45 @@ class TestEval:
         for name in (csv_name, "summary.json"):
             assert (thresholded / name).read_bytes() == (default / name).read_bytes()
         assert "warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dtype", ["int8", "uint16", "int32", "uint32", "int64", "uint64"])
+    def test_integer_label_maps_score_like_uint8(self, tmp_path, capsys, dtype):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        wide = {side: tmp_path / f"{side}_{dtype}" for side in ("pred", "gt")}
+        for side, d in (("pred", pred_dir), ("gt", gt_dir)):
+            wide[side].mkdir()
+            for path in d.iterdir():
+                grid = load_nifti(path)
+                (wide[side] / path.name).write_bytes(build_nifti1_bytes(grid.data.astype(dtype), grid.spacing))
+        narrow = tmp_path / "uint8"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(narrow)]) == EXIT_OK
+        for pred in (pred_dir, wide["pred"]):  # the wide ground truth alone, then both wide
+            out = tmp_path / f"{dtype}_{pred.name}"
+            assert main(["eval", str(pred), str(wide["gt"]), "--out", str(out)]) == EXIT_OK
+            for name in ("cases.csv", "summary.json"):
+                assert (out / name).read_bytes() == (narrow / name).read_bytes()
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    def test_case_ids_holding_csv_syntax_read_back(self, tmp_path, command, csv_name):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        stems = ["a,b", 'say "hi"', "two\nlines", "cr\rhere"]
+        gt = np.zeros((3, 3, 1), dtype=np.uint8)
+        gt[1:, :, 0] = 1
+        for stem in stems:
+            write_mask_pair(tmp_path, f"{stem}.nii", np.ones((3, 3, 1)), gt)
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        with open(out / csv_name, newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert [row[0] for row in rows] == sorted(["alpha", "beta", *stems])
+        assert all(len(row) == len(header) for row in rows)
+        if command == "eval":
+            audit, volume = tmp_path / "audit.json", tmp_path / "volume.json"
+            assert main(["bounds", "--audit", str(out / csv_name), "--out", str(audit)]) == EXIT_OK
+            assert main(["volume", str(out / csv_name), "--out", str(volume)]) == EXIT_OK
+            assert json.loads(audit.read_text()) == {"checked": 6, "violations": []}
+            assert json.loads(volume.read_text())["n"] == 6
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     def test_nan_voxels_fail_the_case(self, tmp_path, capsys, command):
@@ -563,6 +600,7 @@ class TestBounds:
 
     @pytest.mark.parametrize("dice,vpe", [
         ("nan", "0.1"), ("1.5", "0.1"), ("-0.2", "0.1"), ("inf", "0.1"), ("0.9", "nan"), ("0.9", "-inf"),
+        ("1e-310", "-2"), ("0.9", "-1.5"),
     ])
     def test_audit_non_finite_or_out_of_range_cell(self, tmp_path, capsys, dice, vpe):
         bad = tmp_path / "bad.csv"
@@ -809,7 +847,7 @@ class TestVolume:
         assert "row 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize("column,value", [
-        ("gt_ml", "nan"), ("pred_ml", "inf"), ("vpe", "-inf"), ("dice", "NaN"), ("dice", "1.5"),
+        ("gt_ml", "nan"), ("pred_ml", "inf"), ("vpe", "-inf"), ("vpe", "-1.5"), ("dice", "NaN"), ("dice", "1.5"),
     ])
     def test_non_finite_or_out_of_range_cell(self, tmp_path, capsys, column, value):
         header = "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe"
@@ -901,17 +939,6 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert f"error: cannot write {out}" in err and "Traceback" not in err
         assert not out.parent.exists()
-
-
-def run_fresh(code, *args, env=(), **kwargs):
-    """Run ``code`` in a new interpreter with this checkout's ``src`` first on the path.
-
-    ``env`` adds environment variables; ``kwargs`` go to ``subprocess.run``.
-    """
-    src = str(Path(volkit.__file__).resolve().parents[1])
-    env = {**os.environ, **dict(env), "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env,
-                          capture_output=True, text=True, **kwargs)
 
 
 # ``volkit ARGS`` in a new interpreter, through run_fresh.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_mask
+from conftest import make_mask, run_fresh
 from oracles import brute_bound_violations
 from volkit import volbounds
 from volkit.segmetrics import confusion, region_metrics
@@ -158,6 +158,54 @@ class TestExhaustiveVerification:
     def test_identity_pairs_hit_equality(self):
         b = vpe_bounds_from_dice(1.0)
         assert b.lower == b.upper == 0.0
+
+
+def checked_triples(monkeypatch, verify, *args, **kwargs):
+    """The ``(n_pred, n_gt, overlap)`` triples ``verify(*args, **kwargs)`` hands to ``_outside_bounds``."""
+    seen = []
+    monkeypatch.setattr(volbounds, "_outside_bounds", lambda *triple: seen.append(triple))
+    verify(*args, **kwargs)
+    return seen
+
+
+class TestSampledVerification:
+    def test_draws_are_count_triples_of_the_grid(self, monkeypatch):
+        n_vox = 4 * 3 * 2
+        draws = checked_triples(monkeypatch, verify_bounds_sampled, (4, 3, 2), n_pairs=3000, seed=11)
+        assert len(draws) == 3000  # every draw is checked, none rejected
+        for n_pred, n_gt, overlap in draws:
+            assert 1 <= n_pred <= n_vox and 1 <= n_gt <= n_vox
+            assert max(1, n_pred + n_gt - n_vox) <= overlap <= min(n_pred, n_gt)
+
+    def test_same_seed_same_draws(self, monkeypatch):
+        first, again, other = (checked_triples(monkeypatch, verify_bounds_sampled, (5, 5, 5), 500, seed=seed)
+                               for seed in (7, 7, 8))
+        assert first == again and first != other
+
+    def test_draws_reach_every_triple_the_exhaustive_verifier_visits(self, monkeypatch):
+        every = checked_triples(monkeypatch, verify_bounds_exhaustive, (2, 2, 1))
+        drawn = checked_triples(monkeypatch, verify_bounds_sampled, (2, 2, 1), n_pairs=3000, seed=0)
+        assert len(every) == len(set(every))
+        assert set(drawn) == set(every)
+
+    def test_empty_grid_has_no_violations(self):
+        assert verify_bounds_sampled((0, 4, 4), n_pairs=100) == 0
+
+    @pytest.mark.parametrize("grid_dims,n_pairs", [((-3, 3, 1), 10), ((3, 3, 1), -1)])
+    def test_negative_size_is_value_error(self, grid_dims, n_pairs):
+        with pytest.raises(ValueError):
+            verify_bounds_sampled(grid_dims, n_pairs)
+
+    def test_verifiers_leave_numpy_unloaded(self):
+        code = (
+            "import sys\n"
+            "from volkit.volbounds import verify_bounds_exhaustive, verify_bounds_sampled\n"
+            "assert verify_bounds_exhaustive((5, 5, 5)) == []\n"
+            "assert verify_bounds_sampled((8, 8, 8), n_pairs=10_000, seed=105) == 0\n"
+            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
+        )
+        result = run_fresh(code, timeout=120)
+        assert result.returncode == 0, result.stderr
 
 
 class TestTightness:

@@ -19,7 +19,7 @@ from volkit.volgrid import (
     write_nifti,
 )
 
-DTYPES = ["uint8", "int16", "float32", "float64"]
+DTYPES = ["uint8", "int16", "float32", "float64", "int8", "uint16", "int32", "uint32", "int64", "uint64"]
 
 
 def random_grid(rng, dtype, dims=None, spacing=None):
@@ -28,10 +28,9 @@ def random_grid(rng, dtype, dims=None, spacing=None):
     if spacing is None:
         # header pixdim is float32: keep spacings representable for bit-exact trips
         spacing = tuple(float(np.float32(s)) for s in rng.uniform(0.3, 4.0, size=3))
-    if dtype == "uint8":
-        data = rng.integers(0, 256, size=dims).astype(np.uint8)
-    elif dtype == "int16":
-        data = rng.integers(-30000, 30000, size=dims).astype(np.int16)
+    if np.dtype(dtype).kind in "iu":
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, size=dims, dtype=dtype, endpoint=True)
     else:
         data = rng.standard_normal(dims).astype(dtype)
     return VolumeGrid(data=data, spacing=spacing)
@@ -46,7 +45,7 @@ class TestVolumeGrid:
         with pytest.raises(ValueError):
             VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1, np.inf, 1))
         with pytest.raises(ValueError):
-            VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.int64), spacing=(1, 1, 1))
+            VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.complex64), spacing=(1, 1, 1))
 
     def test_binary_mask_rejects_other_values(self):
         with pytest.raises(ValueError):
@@ -177,7 +176,7 @@ class TestNiftiErrors:
         raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1)))
         import struct
 
-        struct.pack_into("<h", raw, 70, 8)  # int32: not supported
+        struct.pack_into("<h", raw, 70, 32)  # complex64: not supported
         path = tmp_path / "baddt.nii"
         path.write_bytes(bytes(raw))
         with pytest.raises(NiftiError, match="datatype"):
