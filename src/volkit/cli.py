@@ -253,16 +253,18 @@ def _worker_mem_mb():
     return mem_mb
 
 
-def _limit_worker_memory(mem_mb):
+def _limit_worker_memory(command, mem_mb):
     """Cap this process's address space at ``mem_mb`` MB; None leaves it unlimited.
 
-    The libraries a case needs are loaded first: mapping numpy's and scipy's
-    shared objects under the cap can fail, or hang in scipy's extension load.
+    The libraries a ``command`` case needs are loaded first: mapping numpy's
+    and scipy's shared objects under the cap can fail, or hang in scipy's
+    extension load. Only ``eval`` needs scipy, whose mapping takes ~130 MB.
     """
     if mem_mb is not None:
         import resource
 
-        from scipy import ndimage  # noqa: F401  (the surface and distance transform of eval)
+        if command == "eval":
+            from scipy import ndimage  # noqa: F401  (the surface and distance transform)
 
         _bind_array_layers()
         limit = mem_mb * 1024 * 1024
@@ -371,11 +373,12 @@ def cmd_dataset(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(tasks)), initializer=_limit_worker_memory, initargs=(mem_mb,)
+            max_workers=min(args.jobs, len(tasks)), initializer=_limit_worker_memory,
+            initargs=(args.command, mem_mb),
         ) as pool:
             outcomes = list(pool.map(_eval_one, tasks))
     else:
-        _limit_worker_memory(mem_mb)
+        _limit_worker_memory(args.command, mem_mb)
         outcomes = [_eval_one(t) for t in tasks]
     results, failed = [], []
     for cid, res, err in outcomes:

@@ -11,7 +11,7 @@ summaries and cohort reports import numpy when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .volbounds import avpe_bound
@@ -200,14 +200,12 @@ def cohort_report(cases: list[CaseMetrics], group: str) -> dict:
     """
     import numpy as np
 
-    from .segmetrics import CaseMetrics
-
     if not cases:
         raise ValueError("cannot report on an empty cohort")
     metrics = {}
-    for field in fields(CaseMetrics):
-        defined = [v for v in (getattr(c, field.name) for c in cases) if v is not None]
-        metrics[field.name] = vars(summarize(defined)) if defined else None
+    for name in vars(cases[0]):  # CaseMetrics' field order
+        defined = [v for v in (getattr(c, name) for c in cases) if v is not None]
+        metrics[name] = vars(summarize(defined)) if defined else None
     entry = {"n_cases": len(cases), "metrics": metrics, "avpe": None}
 
     abs_vpes = [abs(c.vpe) for c in cases if c.vpe is not None]

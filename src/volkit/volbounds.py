@@ -53,10 +53,8 @@ def vpe_bounds_from_dice(dice: float) -> VpeBounds:
 
 
 def avpe_bound(mean_dice: float) -> float:
-    """Upper bound on the cohort mean of |vpe|: 2/mean_dice - 2."""
-    if not 0.0 < mean_dice <= 1.0:
-        raise ValueError(f"mean dice must be in (0, 1], got {mean_dice}")
-    return 2.0 / mean_dice - 2.0
+    """Upper bound on the cohort mean of |vpe|: the per-case upper bound at the mean Dice."""
+    return vpe_bounds_from_dice(mean_dice).upper
 
 
 def _outside_bounds(n_pred: int, n_gt: int, overlap: int):

@@ -1,8 +1,10 @@
 """Dense 3D volumes, binary masks, and a minimal NIfTI-1 reader/writer.
 
 Geometry is voxel-grid based: every grid carries physical voxel spacing in
-millimeters but no orientation matrix. Orientation (qform/sform) is read and
-discarded because none of the metrics downstream depend on it.
+millimeters but no orientation matrix. The reader uses the header's dims,
+datatype, pixdim 1-3, vox_offset and scl_slope/scl_inter, and reads neither
+qform nor sform. Orientation is not compared yet (ROADMAP item 6): a pair
+stored in two orientations is scored voxel by voxel as though aligned.
 """
 
 from __future__ import annotations
@@ -140,13 +142,12 @@ def load_nifti(path) -> VolumeGrid:
         raise NiftiError(f"file too short for a NIfTI-1 header ({len(raw)} bytes)")
 
     # Endianness detection: dim[0] must land in [1, 7] under the right byte order.
-    byte_order = "<"
-    (dim0,) = struct.unpack_from("<h", raw, 40)
-    if not 1 <= dim0 <= 7:
-        byte_order = ">"
-        (dim0,) = struct.unpack_from(">h", raw, 40)
-        if not 1 <= dim0 <= 7:
-            raise NiftiError("cannot determine byte order: dim[0] invalid in both orders")
+    for byte_order in "<>":
+        dim = struct.unpack_from(byte_order + "8h", raw, 40)
+        if 1 <= dim[0] <= 7:
+            break
+    else:
+        raise NiftiError("cannot determine byte order: dim[0] invalid in both orders")
 
     (sizeof_hdr,) = struct.unpack_from(byte_order + "i", raw, 0)
     if sizeof_hdr != _HEADER_SIZE:
@@ -155,7 +156,6 @@ def load_nifti(path) -> VolumeGrid:
     if magic != b"n+1\x00":
         raise NiftiError(f"unsupported magic {magic!r}; only single-file 'n+1' accepted")
 
-    dim = struct.unpack_from(byte_order + "8h", raw, 40)
     if dim[0] not in (3, 4):
         raise NiftiError(f"dim[0]={dim[0]}; only 3D (or squeezable 4D) images supported")
     if dim[0] == 4 and dim[4] > 1:

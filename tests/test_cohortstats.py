@@ -200,6 +200,12 @@ class TestCohortReport:
         assert ct["avpe"]["bound"] == pytest.approx(2 / 0.85 - 2)
         assert not ct["avpe"]["violated"]
 
+    def test_metrics_in_case_metrics_field_order(self):
+        from dataclasses import fields
+
+        report = cohort_report([simple_case(), simple_case(dice=0.5, vpe=0.5)], "all")
+        assert list(report["groups"]["all"]["metrics"]) == [f.name for f in fields(CaseMetrics)]
+
     def test_undefined_metrics_skipped(self):
         c = simple_case(precision=None, hd95_mm=None, assd_mm=None)
         report = cohort_report([c], "g")

@@ -86,6 +86,16 @@ class TestAvpeBound:
                 vpes.append(rng.uniform(0.3 * b.lower, 0.3 * b.upper))
             assert np.mean(np.abs(vpes)) <= avpe_bound(float(np.mean(dices))) + 1e-12
 
+    def test_is_the_per_case_upper_bound_at_the_mean_dice(self):
+        for d in [*np.linspace(0.001, 1.0, 1000), 1e-300, 5e-324, math.nextafter(1.0, 0.0), 1.0]:
+            assert avpe_bound(float(d)).hex() == vpe_bounds_from_dice(float(d)).upper.hex()
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0000001, math.nan])
+    def test_domain_rejected_as_for_the_per_case_bounds(self, bad):
+        for bound in (avpe_bound, vpe_bounds_from_dice):
+            with pytest.raises(ValueError, match=r"dice must be in \(0, 1\]"):
+                bound(bad)
+
     def test_heterogeneous_cohort_can_exceed_arithmetic_mean_bound(self):
         # The bound is NOT a theorem for arbitrary cohorts: per-case vpes at
         # their upper bounds with very unequal dice break it. The reporting

@@ -1,6 +1,7 @@
 import gzip
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -69,7 +70,7 @@ class TestNiftiRoundTrip:
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_round_trip_identity(self, tmp_path, dtype):
-        rng = np.random.default_rng(hash(dtype) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(dtype.encode()))  # str hash() is salted per process
         for i in range(10):
             g = random_grid(rng, dtype)
             path = tmp_path / f"{dtype}_{i}.nii"
@@ -170,6 +171,15 @@ class TestNiftiErrors:
         path = tmp_path / "badmagic.nii"
         path.write_bytes(bytes(raw))
         with pytest.raises(NiftiError, match="magic"):
+            load_nifti(path)
+
+    @pytest.mark.parametrize("dim0", [0, 8, -1, 0x0808])
+    def test_dim0_outside_1_to_7_in_both_byte_orders(self, tmp_path, dim0):
+        raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1)))
+        struct.pack_into("<h", raw, 40, dim0)
+        path = tmp_path / "order.nii"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match="cannot determine byte order"):
             load_nifti(path)
 
     def test_unsupported_datatype(self, tmp_path):
