@@ -28,7 +28,7 @@ from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_boun
 # on first use (``_bind_array_layers``) so that importing the CLI, and running
 # ``bounds --audit`` or ``volume``, never loads numpy.
 _ARRAY_NAMES = (
-    "BinaryMask", "NiftiError", "UndefinedMetricError", "binarize", "cohen_kappa", "cohort_report",
+    "BinaryMask", "UndefinedMetricError", "binarize", "cohen_kappa", "cohort_report",
     "confusion", "evaluate_case", "load_nifti", "region_metrics",
 )
 
@@ -296,7 +296,7 @@ def _eval_one(task):
     measure, case_id, path_a, path_b, threshold = task
     try:
         return case_id, measure(_load_mask(path_a, threshold), _load_mask(path_b, threshold)), None
-    except (NiftiError, ValueError, OSError, UndefinedMetricError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # a NiftiError is a ValueError
         return case_id, None, f"{type(exc).__name__}: {exc}"
 
 

@@ -62,17 +62,13 @@ class RegionMetrics:
 
 
 @dataclass(frozen=True)
-class CaseMetrics:
+class CaseMetrics(RegionMetrics):
     """Full per-case evaluation record. None marks an undefined value.
 
-    The field order is the order of the cohort report and of the case CSV's
-    columns.
+    The field order, RegionMetrics' fields first, is the order of the cohort
+    report and of the case CSV's columns.
     """
 
-    dice: float
-    jaccard: float
-    precision: Optional[float]
-    recall: Optional[float]
     hd95_mm: Optional[float]
     assd_mm: Optional[float]
     pred_volume_ml: float
@@ -222,10 +218,7 @@ def evaluate_case(pred: BinaryMask, gt: BinaryMask) -> CaseMetrics:
         hd95, assd = None, None
 
     return CaseMetrics(
-        dice=rm.dice,
-        jaccard=rm.jaccard,
-        precision=rm.precision,
-        recall=rm.recall,
+        **vars(rm),
         hd95_mm=hd95,
         assd_mm=assd,
         pred_volume_ml=pred_ml,

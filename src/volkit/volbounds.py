@@ -30,8 +30,9 @@ class VpeBounds:
 
 @dataclass(frozen=True)
 class BoundViolation:
-    pred_bits: int
-    gt_bits: int
+    n_pred: int
+    n_gt: int
+    overlap: int
     dice: float
     vpe: float
     lower: float
@@ -81,8 +82,7 @@ def verify_bounds_exhaustive(grid_dims=(3, 3, 1)) -> list[BoundViolation]:
     """Check the vpe bounds on EVERY mask pair with non-empty gt and overlap > 0.
 
     This runs over the pairs' count triples ``(n_pred, n_gt, overlap)``. It
-    returns the (expected empty) violation list: one per violating triple,
-    holding one witness pair of that triple.
+    returns the (expected empty) violation list: one per violating triple.
     """
     n_vox = prod(grid_dims)
     if not 0 <= n_vox <= _EXHAUSTIVE_VOXEL_CAP:
@@ -90,9 +90,7 @@ def verify_bounds_exhaustive(grid_dims=(3, 3, 1)) -> list[BoundViolation]:
 
     sizes = range(1, n_vox + 1)
     triples = ((p, g, o) for p in sizes for g in sizes for o in _overlaps(p, g, n_vox))
-    # witness: pred the low p bits, gt g bits from bit p - o; they share o bits, within n_vox
-    return [BoundViolation((1 << p) - 1, ((1 << g) - 1) << (p - o), *bad)
-            for p, g, o in triples if (bad := _outside_bounds(p, g, o))]
+    return [BoundViolation(*triple, *bad) for triple in triples if (bad := _outside_bounds(*triple))]
 
 
 def verify_bounds_sampled(grid_dims, n_pairs: int, seed: int = 0) -> int:

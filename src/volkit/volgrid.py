@@ -17,26 +17,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# NIfTI-1 datatype codes (and bitpix) for the dtypes we support.
+# NIfTI-1 datatype codes for the dtypes we support.
 _DTYPE_TO_CODE = {
-    "uint8": (2, 8),
-    "int16": (4, 16),
-    "int32": (8, 32),
-    "float32": (16, 32),
-    "float64": (64, 64),
-    "int8": (256, 8),
-    "uint16": (512, 16),
-    "uint32": (768, 32),
-    "int64": (1024, 64),
-    "uint64": (1280, 64),
+    "uint8": 2,
+    "int16": 4,
+    "int32": 8,
+    "float32": 16,
+    "float64": 64,
+    "int8": 256,
+    "uint16": 512,
+    "uint32": 768,
+    "int64": 1024,
+    "uint64": 1280,
 }
-_CODE_TO_DTYPE = {code: name for name, (code, _) in _DTYPE_TO_CODE.items()}
+_CODE_TO_DTYPE = {code: name for name, code in _DTYPE_TO_CODE.items()}
 
 _HEADER_SIZE = 348
 _VOX_OFFSET = 352
 
 
-class NiftiError(Exception):
+class NiftiError(ValueError):
     """Raised for malformed, unsupported, or truncated NIfTI-1 files."""
 
 
@@ -67,10 +67,6 @@ class VolumeGrid:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
-
-    @property
-    def dtype_tag(self) -> str:
-        return self.data.dtype.name
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, VolumeGrid):
@@ -199,19 +195,19 @@ def write_nifti(grid: VolumeGrid, path) -> None:
     The emitted file round-trips bit-exactly through :func:`load_nifti`
     (scl_slope=1, scl_inter=0, vox_offset=352).
     """
-    code, bitpix = _DTYPE_TO_CODE[grid.dtype_tag]
+    dtype = grid.data.dtype
     nx, ny, nz = grid.dims
 
     header = bytearray(_HEADER_SIZE)
     struct.pack_into("<i", header, 0, _HEADER_SIZE)
     struct.pack_into("<8h", header, 40, 3, nx, ny, nz, 1, 1, 1, 1)
-    struct.pack_into("<2h", header, 70, code, bitpix)
+    struct.pack_into("<2h", header, 70, _DTYPE_TO_CODE[dtype.name], dtype.itemsize * 8)  # datatype, bitpix
     struct.pack_into("<8f", header, 76, 1.0, *grid.spacing, 0.0, 0.0, 0.0, 0.0)
     struct.pack_into("<f", header, 108, float(_VOX_OFFSET))
     struct.pack_into("<2f", header, 112, 1.0, 0.0)  # scl_slope, scl_inter
     header[344:348] = b"n+1\x00"
 
-    payload = np.asfortranarray(grid.data).astype("<" + grid.data.dtype.str[1:]).tobytes(order="F")
+    payload = np.asfortranarray(grid.data).astype("<" + dtype.str[1:]).tobytes(order="F")
     with open(path, "wb") as f:
         f.write(bytes(header))
         f.write(b"\x00" * (_VOX_OFFSET - _HEADER_SIZE))  # no extensions

@@ -92,6 +92,15 @@ class TestEval:
         assert not (out / csv_name).exists()
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_missing_input_dir_is_io_error(self, tmp_path, capsys, command):
+        (tmp_path / "gt").mkdir()
+        missing, out = tmp_path / "missing", tmp_path / "out"
+        assert main([command, str(missing), str(tmp_path / "gt"), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "agree"])
     def test_partial_failure(self, tmp_path, command):
         pred_dir, gt_dir = two_case_dataset(tmp_path)
         (pred_dir / "broken.nii").write_bytes(b"not a nifti file at all")
@@ -581,6 +590,27 @@ class TestBounds:
             "x,0.9,0.81,1,1,0,0,5,1,4\n"
         )
         assert main(["bounds", "--audit", str(bad), "--out", str(tmp_path / "a.json")]) == EXIT_CHECK
+
+    def test_audit_skips_rows_without_vpe_and_leaves_dice_zero_unchecked(self, tmp_path):
+        # no vpe: the gt is empty; dice 0: vpe_bounds_from_dice has no interval
+        path = tmp_path / "cases.csv"
+        path.write_text(
+            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+            "ok,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
+            "no-gt,0.9,0.81,1,1,0,0,1.1,0,\n"
+            "no-pred,0,0,,0,,,0,1,-1\n"
+        )
+        report = tmp_path / "a.json"
+        assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text()) == {"checked": 1, "violations": []}
+
+    @pytest.mark.parametrize("argv", [["bounds", "--audit"], ["volume"]])
+    def test_missing_csv_is_io_error(self, tmp_path, capsys, argv):
+        missing, out = tmp_path / "missing.csv", tmp_path / "out.json"
+        assert main([*argv, str(missing), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_audit_malformed_csv(self, tmp_path):
         bad = tmp_path / "junk.csv"

@@ -55,6 +55,11 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="values must be finite"):
+            summarize([1.0, bad])
+
 
 def numpy_linear_fit(x, y):
     """The numpy expressions linear_fit used before its sums became math.fsum."""
@@ -97,6 +102,8 @@ class TestLinearFit:
             linear_fit([1, 2, 3], [5, 5, 5])
         with pytest.raises(ValueError, match="length"):
             linear_fit([1, 2], [1, 2, 3])
+        with pytest.raises(ValueError, match="at least two points"):
+            linear_fit([1.0], [2.0])
 
     def test_r2_affine_invariance(self):
         rng = np.random.default_rng(1)
@@ -159,6 +166,21 @@ class TestTTest:
         # finite differences whose sum (the mean) or sum of squares (the sd) overflows
         with pytest.raises(ValueError, match="overflow the float range"):
             paired_t_test(a, [0.0] * len(a))
+
+    def test_pairs_validated(self):
+        with pytest.raises(ValueError, match="length mismatch: 3 vs 2"):
+            paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="at least two pairs"):
+            paired_t_test([1.0], [2.0])
+
+    @pytest.mark.parametrize("df", [0, -1])
+    def test_df_below_one_rejected(self, df):
+        with pytest.raises(ValueError, match="df must be >= 1"):
+            t_two_sided_p(1.0, df)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_t_has_p_zero(self, t):
+        assert t_two_sided_p(t, 3) == 0.0
 
     def test_p_monotone_in_abs_t(self):
         ps = [t_two_sided_p(t, 7) for t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]

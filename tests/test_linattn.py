@@ -239,7 +239,35 @@ class TestRowBlocks:
         np.testing.assert_allclose(got, want, rtol=1e-6)
 
 
+class TestTensorValidation:
+    @pytest.mark.parametrize("shapes", [((4, 3), (4, 3), (4, 2)), ((4, 3), (5, 3), (4, 3)), ((4,), (4,), (4,))])
+    def test_shapes_must_match_and_be_2d(self, shapes):
+        q, k, v = (np.zeros(s) for s in shapes)
+        with pytest.raises(ValueError, match="must share one 2D shape"):
+            AttentionTensors(q=q, k=k, v=v)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0)])
+    def test_n_and_d_at_least_one(self, shape):
+        with pytest.raises(ValueError, match="need n >= 1 and d >= 1"):
+            AttentionTensors(q=np.zeros(shape), k=np.zeros(shape), v=np.zeros(shape))
+
+    @pytest.mark.parametrize("name", ["q", "k", "v"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, name, bad):
+        m = {key: np.zeros((3, 2)) for key in "qkv"}
+        m[name][1, 1] = bad
+        with pytest.raises(ValueError, match=f"{name.upper()} contains non-finite entries"):
+            AttentionTensors(**m)
+
+
 class TestBackward:
+    def test_upstream_validated(self):
+        t = random_tensors(np.random.default_rng(9), 4, 3)
+        with pytest.raises(ValueError, match="upstream shape"):
+            linear_attention_backward(t, np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="upstream contains non-finite entries"):
+            linear_attention_backward(t, np.full((4, 3), np.nan))
+
     def test_zero_upstream_gives_zero_gradients(self):
         rng = np.random.default_rng(10)
         t = random_tensors(rng, 4, 3)
@@ -330,6 +358,11 @@ class TestBench:
     def test_sizes_validated(self, n_list, d):
         with pytest.raises(ValueError):
             bench_attention(n_list, d=d, repeats=3)
+
+    def test_unknown_variant_rejected_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
+        with pytest.raises(ValueError, match="unknown variants \\['cubic'\\]"):
+            bench_attention([16], d=4, repeats=3, variants=("linear", "cubic"))
 
     @pytest.mark.parametrize("n_list", [[64, 64], [16, 32, 16]])
     def test_repeated_n_rejected_before_drawing(self, monkeypatch, n_list):

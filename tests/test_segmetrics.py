@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import make_mask, random_mask, random_nonempty_mask
 from oracles import brute_boundary_metrics, brute_edt, brute_surface
 from volkit.segmetrics import (
+    CaseMetrics,
     ConfusionCounts,
+    RegionMetrics,
     UndefinedMetricError,
     boundary_metrics,
     cohen_kappa,
@@ -409,6 +411,13 @@ class TestCountsFromThreeTotals:
 
 
 class TestEvaluateCase:
+    def test_case_record_extends_region_record(self):
+        # RegionMetrics' fields come first: the order of cases.csv and the cohort report
+        assert issubclass(CaseMetrics, RegionMetrics)
+        pred, gt = fixture_3x3x1()
+        rm = region_metrics(confusion(pred, gt))
+        assert list(vars(evaluate_case(pred, gt)).items())[:4] == list(vars(rm).items())
+
     def test_perfect_case(self):
         rng = np.random.default_rng(8)
         m = random_nonempty_mask(rng, (5, 5, 5))

@@ -150,16 +150,17 @@ class TestExhaustiveVerification:
         assert violations
         for v in violations:
             assert (v.lower, v.upper) == (real(v.dice).lower / 2, real(v.dice).upper / 2)
-            assert v.vpe == bin(v.pred_bits).count("1") / bin(v.gt_bits).count("1") - 1
+            assert v.vpe == v.n_pred / v.n_gt - 1
         assert verify_bounds_sampled((4, 4, 4), n_pairs=200, seed=3) > 0
 
     @pytest.mark.parametrize("grid_dims", [(2, 2, 1), (2, 2, 2), (3, 3, 1)])
     def test_count_triples_flag_what_the_pair_loop_flags(self, narrowed_bounds, grid_dims):
         n_vox = math.prod(grid_dims)
         violations = verify_bounds_exhaustive(grid_dims)
-        # one witness pair per triple, on the grid, whose counts are that triple
-        assert all(max(v.pred_bits, v.gt_bits) < 1 << n_vox for v in violations)
-        got = {count_triple(v.pred_bits, v.gt_bits): (v.dice, v.vpe, v.lower, v.upper) for v in violations}
+        # one entry per triple, each a triple of two masks on the grid that overlap
+        assert all(1 <= v.overlap <= min(v.n_pred, v.n_gt) for v in violations)
+        assert all(v.n_pred + v.n_gt - v.overlap <= n_vox for v in violations)
+        got = {(v.n_pred, v.n_gt, v.overlap): (v.dice, v.vpe, v.lower, v.upper) for v in violations}
         assert len(got) == len(violations)
         pairs = brute_bound_violations(n_vox, volbounds._outside_bounds)
         assert len(pairs) > len(violations)

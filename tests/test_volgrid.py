@@ -94,6 +94,12 @@ class TestNiftiRoundTrip:
         assert (datatype, bitpix) == (2, 8)
         assert raw[344:348] == b"n+1\x00"
 
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bitpix_is_the_dtype_width(self, tmp_path, dtype):
+        path = tmp_path / "v.nii"
+        write_nifti(VolumeGrid(data=np.zeros((1, 1, 1), dtype=dtype), spacing=(1, 1, 1)), path)
+        assert struct.unpack_from("<h", path.read_bytes(), 72)[0] == np.dtype(dtype).itemsize * 8
+
     def test_gzip_read(self, tmp_path):
         rng = np.random.default_rng(7)
         g = random_grid(rng, "int16")
@@ -120,7 +126,7 @@ class TestThirdPartyFixture:
         g = load_nifti(path)
         assert g.dims == (4, 4, 2)
         assert g.spacing == (0.5, 2.0, 3.0)
-        assert g.dtype_tag == "int16"
+        assert g.data.dtype.name == "int16"
         assert np.array_equal(g.data, expected)
 
     def test_negative_pixdim_taken_absolute(self, tmp_path):
@@ -152,6 +158,10 @@ class TestThirdPartyFixture:
 
 
 class TestNiftiErrors:
+    def test_nifti_error_is_a_value_error(self):
+        # a malformed file is bad input data, as json.JSONDecodeError is
+        assert issubclass(NiftiError, ValueError)
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.nii"
         path.write_bytes(b"\x00" * 100)
@@ -214,6 +224,14 @@ class TestNiftiErrors:
         with pytest.raises(NiftiError, match="vox_offset"):
             load_nifti(path)
 
+    def test_2d_image_rejected(self, tmp_path):
+        raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 1), dtype=np.uint8), (1, 1, 1)))
+        struct.pack_into("<h", raw, 40, 2)
+        path = tmp_path / "2d.nii"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(NiftiError, match="only 3D"):
+            load_nifti(path)
+
     def test_singleton_4d_accepted(self, tmp_path):
         raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1)))
         import struct
@@ -231,7 +249,7 @@ class TestNiftiErrors:
         path = tmp_path / "scl.nii"
         path.write_bytes(bytes(raw))
         g = load_nifti(path)
-        assert g.dtype_tag == "float64"
+        assert g.data.dtype.name == "float64"
         assert np.allclose(g.data.ravel(), [11.0, 12.0])
 
     @pytest.mark.parametrize("slope,inter,scale", [
@@ -250,7 +268,7 @@ class TestNiftiErrors:
         if scale is None:
             assert g == VolumeGrid(data=mask, spacing=(1, 1, 1))
         else:
-            assert g.dtype_tag == "float64"
+            assert g.data.dtype.name == "float64"
             assert np.array_equal(g.data, mask * scale)
 
 
@@ -369,6 +387,12 @@ class TestBinarize:
         assert got[0, 0, :3].tolist() == [0, 1, 1]
         assert np.array_equal(got, (data.astype(np.float64) > 0.1).astype(np.uint8))
 
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        g = VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.float32), spacing=(1, 1, 1))
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            binarize(g, threshold)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_nan_voxels_rejected_with_their_count(self, dtype):
