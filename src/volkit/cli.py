@@ -222,7 +222,7 @@ def _load_mask(path: str, threshold: float):
     """The mask stored in ``path``: as it is if binary, else thresholded at > ``threshold``."""
     grid = load_nifti(path)
     try:
-        return BinaryMask(grid)
+        return BinaryMask(grid.data, grid.spacing)
     except ValueError:
         mask = binarize(grid, threshold)  # raises first if a voxel is NaN
         _progress(f"warning: {path} is not binary; thresholded at > {threshold:g}")

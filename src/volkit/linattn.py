@@ -243,15 +243,6 @@ def check_properties(n: int, d: int, seed: int, trials: int) -> list[tuple[str, 
 _KERNELS = {"quadratic": quadratic_attention, "linear": linear_attention}
 
 
-def _limit_blas_threads():
-    try:
-        from threadpoolctl import threadpool_limits
-
-        return threadpool_limits(limits=1)
-    except ImportError:
-        return _openblas_single_thread()
-
-
 def _openblas_thread_apis() -> list:
     """(get, set) thread-count functions of every OpenBLAS loaded in this process.
 
@@ -280,7 +271,7 @@ def _openblas_thread_apis() -> list:
 
 @contextlib.contextmanager
 def _openblas_single_thread():
-    """Pin OpenBLAS to one thread for the block when threadpoolctl is absent.
+    """Pin every loaded OpenBLAS to one thread for the block; other BLAS libraries run unpinned.
 
     Unpinned, numpy's OpenBLAS hands even small products to worker threads;
     on a shared 2-vCPU VM their wake-up after an idle spell made the first
@@ -300,17 +291,17 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
     """Time the kernels over a range of token counts.
 
     Returns one row per (n, variant), in `n_list` order, with the median wall
-    time of `repeats` single-threaded invocations in float32 (verification
-    stays in float64; benchmarking uses the cheaper dtype); both kernels keep
-    float32 inputs in float32 throughout, scaling and softmax included. Q, K
-    and V are float32 standard normals drawn once from `seed` at the largest
-    n; each smaller n times the leading n rows of that draw, which are
-    C-contiguous views, not copies. `variants` restricts which kernels run;
-    the quadratic one needs an n-by-n intermediate, so skip it for token
-    counts where that matrix would not fit in memory. Raises ValueError, before
-    drawing anything, on an empty `n_list`, an n or d below 1, a repeated n (it
-    would time, and fit a slope through, one point twice), repeats below 3 or
-    an unknown variant.
+    time of `repeats` invocations in float32, single-threaded where the BLAS is
+    OpenBLAS (verification stays in float64; benchmarking uses the cheaper
+    dtype); both kernels keep float32 inputs in float32 throughout, scaling and
+    softmax included. Q, K and V are float32 standard normals drawn once from
+    `seed` at the largest n; each smaller n times the leading n rows of that
+    draw, which are C-contiguous views, not copies. `variants` restricts which
+    kernels run; the quadratic one needs an n-by-n intermediate, so skip it for
+    token counts where that matrix would not fit in memory. Raises ValueError,
+    before drawing anything, on an empty `n_list`, an n or d below 1, a
+    repeated n (it would time, and fit a slope through, one point twice),
+    repeats below 3 or an unknown variant.
     """
     n_list = list(n_list)
     if not n_list or min(n_list) < 1 or d < 1:
@@ -327,7 +318,7 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
     rng = np.random.default_rng(seed)
     q, k, v = (rng.standard_normal((max(n_list), d), dtype=np.float32) for _ in "qkv")
     rows = []
-    with _limit_blas_threads():
+    with _openblas_single_thread():
         for n in n_list:
             t = AttentionTensors(q=q[:n], k=k[:n], v=v[:n])
             for variant in variants:

@@ -87,27 +87,13 @@ def is_binary(data: np.ndarray) -> bool:
     return int(np.count_nonzero(data == 0)) + int(np.count_nonzero(data == 1)) == data.size
 
 
-@dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(VolumeGrid):
     """A VolumeGrid whose voxels are exactly 0 or 1."""
 
-    grid: VolumeGrid
-
     def __post_init__(self):
-        if not is_binary(self.grid.data):
+        super().__post_init__()
+        if not is_binary(self.data):
             raise ValueError("mask voxels must all be exactly 0 or 1")
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.grid.data
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.grid.dims
-
-    @property
-    def spacing(self) -> tuple[float, float, float]:
-        return self.grid.spacing
 
     def foreground_count(self) -> int:
         return int(np.count_nonzero(self.data))
@@ -120,6 +106,8 @@ def _read_bytes(path) -> bytes:
         try:
             raw = gzip.decompress(raw)
         except (OSError, EOFError, zlib.error) as exc:  # BadGzipFile is an OSError
+            if str(exc).startswith("Error -4 "):  # Z_MEM_ERROR: a valid stream, too little memory
+                raise MemoryError(str(exc)) from exc
             raise NiftiError(f"corrupt or cut-off gzip stream: {exc}") from exc
     return raw
 
@@ -227,7 +215,7 @@ def binarize(grid: VolumeGrid, threshold: float) -> BinaryMask:
     # A float64 scalar keeps the comparison in float64 for every input dtype
     # (a Python float would be cast to float32 against float32 data).
     data = np.greater(grid.data, np.float64(threshold)).view(np.uint8)
-    return BinaryMask(VolumeGrid(data=data, spacing=grid.spacing))
+    return BinaryMask(data, grid.spacing)
 
 
 def mask_volume_ml(mask: BinaryMask) -> float:

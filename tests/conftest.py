@@ -10,7 +10,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 import volkit
-from volkit.volgrid import BinaryMask, VolumeGrid
+from volkit.volgrid import BinaryMask
 
 
 def run_fresh(code, *args, env=(), **kwargs):
@@ -26,7 +26,7 @@ def run_fresh(code, *args, env=(), **kwargs):
 
 def make_mask(data, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:
     arr = np.asarray(data, dtype=np.uint8)
-    return BinaryMask(VolumeGrid(data=arr, spacing=spacing))
+    return BinaryMask(arr, spacing)
 
 
 def random_mask(rng, dims, spacing=(1.0, 1.0, 1.0), p=None) -> BinaryMask:

@@ -80,7 +80,8 @@ class TestEval:
         names = [f.name for f in fields(CaseMetrics)]
         assert header[1:] == [n.replace("_volume_ml", "_ml") for n in names]
         for row in rows:
-            m = evaluate_case(*(BinaryMask(load_nifti(Path(d) / f"{row[0]}.nii")) for d in (pred_dir, gt_dir)))
+            grids = [load_nifti(Path(d) / f"{row[0]}.nii") for d in (pred_dir, gt_dir)]
+            m = evaluate_case(*(BinaryMask(g.data, g.spacing) for g in grids))
             assert row[1:] == [_fmt(getattr(m, n)) for n in names]
 
     @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
@@ -238,6 +239,25 @@ class TestEval:
         rows = (out / "cases.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["good"]
         assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["hostile"]
+
+    def test_gzip_out_of_memory_fails_its_case_as_memory_error(self, tmp_path, monkeypatch, capsys):
+        import zlib
+
+        mask = np.zeros((4, 3, 2), dtype=np.uint8)
+        mask[1:3, 1, :] = 1
+        pred_dir, gt_dir = write_mask_pair(tmp_path, "good.nii", mask, mask)
+        write_nifti(VolumeGrid(data=mask, spacing=(1, 1, 1)), gt_dir / "packed.nii")
+        (pred_dir / "packed.nii.gz").write_bytes(gzip.compress((gt_dir / "packed.nii").read_bytes()))
+
+        def out_of_memory(raw):
+            raise zlib.error("Error -4 while decompressing data")
+
+        monkeypatch.setattr(gzip, "decompress", out_of_memory)
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", "1"]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "error: case packed: MemoryError" in err and "corrupt" not in err
+        assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["packed"]
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     def test_out_that_is_a_file_fails_before_any_case(self, tmp_path, monkeypatch, capsys, command):

@@ -411,6 +411,24 @@ class TestBench:
         if not apis:
             pytest.skip("numpy is not linked against OpenBLAS")
         before = [get() for get, _ in apis]
-        with linattn._limit_blas_threads():
+        with linattn._openblas_single_thread():
             assert [get() for get, _ in apis] == [1] * len(apis)
+        assert [get() for get, _ in apis] == before
+
+    def test_bench_attention_runs_kernels_pinned_and_restores(self, monkeypatch):
+        from volkit import linattn
+
+        apis = linattn._openblas_thread_apis()
+        if not apis:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        before = [get() for get, _ in apis]
+        seen = []
+
+        def recording_kernel(t):
+            seen.append([get() for get, _ in apis])
+            return linear_attention(t)
+
+        monkeypatch.setitem(linattn._KERNELS, "linear", recording_kernel)
+        bench_attention([8, 16], d=4, repeats=3, variants=("linear",))
+        assert seen == [[1] * len(apis)] * 6
         assert [get() for get, _ in apis] == before

@@ -22,7 +22,7 @@ from volkit.segmetrics import (
 )
 from volkit.segmetrics import _check_compatible, _distances_at, _pooled_surface_distances, _surface
 from volkit.volbounds import vpe_bounds_from_dice
-from volkit.volgrid import BinaryMask, VolumeGrid
+from volkit.volgrid import BinaryMask
 
 
 def fixture_3x3x1():
@@ -154,7 +154,7 @@ class TestSurface:
         for stored in (np.asarray, np.asfortranarray, lambda d: d.astype(np.float32)):
             for _ in range(20):
                 m = random_nonempty_mask(rng, tuple(rng.integers(1, 7, size=3)))
-                m = BinaryMask(VolumeGrid(data=stored(m.data), spacing=m.spacing))
+                m = BinaryMask(stored(m.data), m.spacing)
                 got = {tuple(c) for c in extract_surface(m)}
                 want = {tuple(c) for c in brute_surface(m.data)}
                 assert got == want

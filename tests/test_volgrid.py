@@ -49,13 +49,37 @@ class TestVolumeGrid:
             VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.complex64), spacing=(1, 1, 1))
 
     def test_binary_mask_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            BinaryMask(VolumeGrid(data=np.full((2, 2, 2), 2, dtype=np.uint8), spacing=(1, 1, 1)))
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            BinaryMask(np.full((2, 2, 2), 2, dtype=np.uint8), (1, 1, 1))
 
     def test_binary_mask_rejects_negative_and_nan(self):
         for data in (np.array([[[0, -1]]], dtype=np.int16), np.array([[[0.0, np.nan]]])):
             with pytest.raises(ValueError):
-                BinaryMask(VolumeGrid(data=data, spacing=(1, 1, 1)))
+                BinaryMask(data, (1, 1, 1))
+
+    def test_binary_mask_is_a_volume_grid(self):
+        assert issubclass(BinaryMask, VolumeGrid)
+        mask = make_mask([[[0, 1]]], spacing=(0.5, 1, 2))
+        assert mask == VolumeGrid(data=np.array([[[0, 1]]], dtype=np.uint8), spacing=(0.5, 1.0, 2.0))
+
+    @pytest.mark.parametrize("data,spacing,match", [
+        (np.zeros((2, 2), dtype=np.uint8), (1, 1, 1), "3D"),
+        (np.zeros((2, 2, 2), dtype=np.uint8), (1, 0, 1), "spacing"),
+        (np.zeros((2, 2, 2), dtype=np.bool_), (1, 1, 1), "dtype"),
+    ])
+    def test_binary_mask_keeps_volume_grid_checks(self, data, spacing, match):
+        with pytest.raises(ValueError, match=match):
+            BinaryMask(data, spacing)
+
+    def test_binary_mask_round_trips_bit_for_bit(self, tmp_path):
+        mask = make_mask(np.random.default_rng(3).random((5, 4, 3)) < 0.5, spacing=(0.75, 1.25, 2.5))
+        path = tmp_path / "mask.nii"
+        write_nifti(mask, path)
+        loaded = load_nifti(path)
+        assert loaded == mask
+        assert loaded.data.tobytes() == mask.data.tobytes()
+        write_nifti(loaded, tmp_path / "again.nii")
+        assert (tmp_path / "again.nii").read_bytes() == path.read_bytes()
 
 
 class TestNiftiRoundTrip:
@@ -288,6 +312,17 @@ class TestHostileStreams:
         path = tmp_path / "hostile.nii.gz"
         path.write_bytes(hostile_nifti_bytes(kind, np.zeros((4, 3, 2), dtype=np.uint8)))
         with pytest.raises(NiftiError, match=match):
+            load_nifti(path)
+
+    def test_zlib_out_of_memory_is_memory_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "valid.nii.gz"
+        path.write_bytes(gzip.compress(self.base_bytes()))
+
+        def out_of_memory(raw):
+            raise zlib.error("Error -4 while decompressing data")
+
+        monkeypatch.setattr(gzip, "decompress", out_of_memory)
+        with pytest.raises(MemoryError, match="Error -4"):
             load_nifti(path)
 
     def test_huge_dims_fail_before_the_data_is_allocated(self, tmp_path):
