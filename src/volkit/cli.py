@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .cohortstats import fsum_mean, linear_fit
+from .cohortstats import linear_fit
 from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_bounds_from_dice
 
 # The array-layer names this module uses, bound from the package's lazy exports
@@ -309,11 +309,13 @@ def _agreement_csv_row(case_id: str, result) -> list:
     return [case_id, _fmt(dice), _fmt(kappa)]
 
 
-def _eval_summary(args, results) -> dict:
-    return {"group": args.group, "report": cohort_report([m for _, m in results], args.group)}
+def _eval_summary(results) -> dict:
+    # one cohort, but "group", "groups" and "comparisons" stay: they are part of the frozen summary.json format
+    entry = cohort_report([m for _, m in results])
+    return {"group": "all", "report": {"groups": {"all": entry}, "comparisons": []}}
 
 
-def _agreement_summary(args, results) -> dict:
+def _agreement_summary(results) -> dict:
     from .cohortstats import summarize
 
     kappas = [k for _, (_, k) in results if k is not None]
@@ -331,7 +333,7 @@ class _Dataset:
     csv_name: str
     header: tuple[str, ...]
     row: Callable  # (case_id, result) -> the case's CSV cells
-    summary: Callable  # (args, [(case_id, result)]) -> summary.json's own keys
+    summary: Callable  # [(case_id, result)] -> summary.json's own keys
 
 
 _DATASETS = {
@@ -391,7 +393,7 @@ def cmd_dataset(args) -> int:
     table = _csv(dataset.header, (dataset.row(cid, res) for cid, res in results))
     summary_text = None
     if results:
-        summary = {"n_cases": len(results), **dataset.summary(args, results)}
+        summary = {"n_cases": len(results), **dataset.summary(results)}
         if failed:
             summary["failed_cases"] = failed
         summary_text = _dump_json(summary)
@@ -494,6 +496,8 @@ def cmd_attn_bench(args) -> int:
 
 
 def cmd_volume(args) -> int:
+    from statistics import fmean
+
     rows = _eval_rows(args.eval_csv, ("gt_ml", "pred_ml", "dice"), ("vpe",))
     if len(rows) < 2:
         raise _Exit(EXIT_IO, "need at least two cases with volume columns")
@@ -501,13 +505,13 @@ def cmd_volume(args) -> int:
     abs_vpes = [abs(v) for v in vpes if v is not None]
     try:
         fit = linear_fit(gt, pred)
-        mean_dice = fsum_mean(dices)
+        mean_dice = fmean(dices)
         result = {
             "n": fit.n,
             "slope": fit.slope,
             "intercept": fit.intercept,
             "r2": fit.r2,
-            "mean_abs_vpe": fsum_mean(abs_vpes) if abs_vpes else None,
+            "mean_abs_vpe": fmean(abs_vpes) if abs_vpes else None,
             "mean_dice": mean_dice,
         }
         if mean_dice > 0 and abs_vpes:
@@ -539,8 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         p.add_argument("dir_a", metavar=dirs[0])
         p.add_argument("dir_b", metavar=dirs[1])
-        if command == "eval":
-            p.add_argument("--group", default="all", help="cohort group label")
         p.add_argument("--threshold", type=float, default=0.5,
                        help="binarization threshold for non-binary inputs (default 0.5)")
         p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = serial)")

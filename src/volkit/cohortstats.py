@@ -3,9 +3,9 @@
 The t-distribution tail is evaluated through the regularized incomplete beta
 function, computed by the standard continued-fraction expansion (modified
 Lentz) to 1e-12; the test suite cross-checks it against direct quadrature
-of the t density. ``linear_fit``, ``fsum_mean`` and ``paired_t_test`` are
-plain Python (``math.fsum``, :mod:`statistics`) and do not import numpy; the
-summaries and cohort reports import numpy when called.
+of the t density. ``linear_fit`` and ``paired_t_test`` are plain Python
+(``math.fsum``, :mod:`statistics`) and do not import numpy; the summaries and
+cohort reports import numpy when called.
 """
 
 from __future__ import annotations
@@ -57,24 +57,21 @@ def summarize(values) -> MetricSummary:
     )
 
 
-def fsum_mean(values) -> float:
-    """Arithmetic mean of a non-empty sequence, from a correctly rounded sum."""
-    return math.fsum(values) / len(values)
-
-
 def linear_fit(x, y) -> RegressionFit:
     """Least-squares line with r2 = (Pearson r)^2.
 
     Constant x (no regression possible) and constant y (Pearson r undefined)
     are both rejected, as distinct errors.
     """
+    from statistics import fmean
+
     x = [float(v) for v in x]
     y = [float(v) for v in y]
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise ValueError("need at least two points")
-    x_mean, y_mean = fsum_mean(x), fsum_mean(y)
+    x_mean, y_mean = fmean(x), fmean(y)
     dx = [v - x_mean for v in x]
     dy = [v - y_mean for v in y]
     sxx = math.fsum(d * d for d in dx)
@@ -190,13 +187,12 @@ def paired_t_test(a, b) -> TTestResult:
 # --- cohort report ------------------------------------------------------
 
 
-def cohort_report(cases: list[CaseMetrics], group: str) -> dict:
-    """One group's metric summaries and avpe bound audit.
+def cohort_report(cases: list[CaseMetrics]) -> dict:
+    """One cohort's case count, metric summaries and avpe bound audit.
 
-    Returns ``{"groups": {group: entry}, "comparisons": []}``. The
-    ``comparisons`` list is always empty: it is kept only because it is part
-    of the frozen ``summary.json`` format. Paired comparisons between cohorts
-    belong to :func:`paired_t_test`.
+    Returns ``{"n_cases": ..., "metrics": ..., "avpe": ...}``; ``avpe`` is None
+    when no case has a vpe or the mean dice is 0. Paired comparisons between
+    cohorts belong to :func:`paired_t_test`.
     """
     import numpy as np
 
@@ -219,4 +215,4 @@ def cohort_report(cases: list[CaseMetrics], group: str) -> dict:
             "bound": bound,
             "violated": bool(mean_abs_vpe > bound + 1e-12),
         }
-    return {"groups": {group: entry}, "comparisons": []}
+    return entry

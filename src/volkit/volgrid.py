@@ -2,7 +2,8 @@
 
 Geometry is voxel-grid based: every grid carries physical voxel spacing in
 millimeters but no orientation matrix. The reader uses the header's dims,
-datatype, pixdim 1-3, vox_offset and scl_slope/scl_inter, and reads neither
+datatype, pixdim 1-3 in the spatial unit of xyzt_units (meter, mm or micron;
+unknown reads as mm), vox_offset and scl_slope/scl_inter, and reads neither
 qform nor sform. Orientation is not compared yet (ROADMAP item 6): a pair
 stored in two orientations is scored voxel by voxel as though aligned.
 """
@@ -31,6 +32,10 @@ _DTYPE_TO_CODE = {
     "uint64": 1280,
 }
 _CODE_TO_DTYPE = {code: name for name, code in _DTYPE_TO_CODE.items()}
+
+# (factor, divisor) taking a length in each NIfTI-1 spatial units code
+# (xyzt_units & 7) to mm: 0 unknown (read as mm), 1 meter, 2 mm, 3 micron.
+_TO_MM = {0: (1, 1), 1: (1000, 1), 2: (1, 1), 3: (1, 1000)}
 
 _HEADER_SIZE = 348
 _VOX_OFFSET = 352
@@ -116,10 +121,12 @@ def load_nifti(path) -> VolumeGrid:
     """Read a single-file NIfTI-1 volume (.nii or .nii.gz).
 
     Accepts 3D images and 4D images with a singleton 4th dimension; both
-    endiannesses are handled (detected via dim[0]). scl_slope/scl_inter are
-    applied when they describe a non-identity affine rescale, promoting the
-    data to float64. A non-finite scl_slope or scl_inter reads as 0, as in the
-    NIfTI-1 reference reader (nifti1_io.c); a slope of 0 means no scaling.
+    endiannesses are handled (detected via dim[0]). pixdim 1-3 are converted
+    to mm from xyzt_units' spatial unit; a code outside 0-3 is a NiftiError.
+    scl_slope/scl_inter are applied when they describe a non-identity affine
+    rescale, promoting the data to float64. A non-finite scl_slope or
+    scl_inter reads as 0, as in the NIfTI-1 reference reader (nifti1_io.c); a
+    slope of 0 means no scaling.
     """
     raw = _read_bytes(path)
     if len(raw) < _HEADER_SIZE:
@@ -154,7 +161,12 @@ def load_nifti(path) -> VolumeGrid:
     dtype = np.dtype(_CODE_TO_DTYPE[datatype]).newbyteorder(byte_order)
 
     pixdim = struct.unpack_from(byte_order + "8f", raw, 76)
-    spacing = tuple(abs(float(p)) for p in pixdim[1:4])
+    units = raw[123] & 7  # xyzt_units' spatial bits; the time bits are ignored
+    if units not in _TO_MM:
+        raise NiftiError(f"unsupported spatial units code {units} in xyzt_units; "
+                         "only 0 (unknown, read as mm), 1 (meter), 2 (mm) and 3 (micron) are defined")
+    factor, divisor = _TO_MM[units]
+    spacing = tuple(abs(float(p)) * factor / divisor for p in pixdim[1:4])
     (vox_offset,) = struct.unpack_from(byte_order + "f", raw, 108)
     slope, inter = (v if math.isfinite(v) else 0.0 for v in struct.unpack_from(byte_order + "2f", raw, 112))
 

@@ -2,6 +2,7 @@ import csv
 import gzip
 import json
 import os
+import re
 import stat
 import struct
 import sys
@@ -51,9 +52,31 @@ class TestEval:
         out = tmp_path / "out"
         assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
-        metrics = summary["report"]["groups"]["all"]["metrics"]
+        assert sorted(summary) == ["group", "n_cases", "report"] and summary["group"] == "all"
+        report = summary["report"]
+        assert sorted(report) == ["comparisons", "groups"] and report["comparisons"] == []
+        assert list(report["groups"]) == ["all"]
+        assert sorted(report["groups"]["all"]) == ["avpe", "metrics", "n_cases"]
+        metrics = report["groups"]["all"]["metrics"]
         assert metrics["dice"]["mean"] == 1.0
         assert metrics["hd95_mm"]["mean"] == 0.0
+
+    def test_group_option_is_gone(self, tmp_path, capsys):
+        pred_dir, gt_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(pred_dir), str(gt_dir), "--out", str(out), "--group", "x"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--group" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_and_agree_take_the_same_options(self, capsys):
+        options = {}
+        for command in ("eval", "agree"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            options[command] = sorted(set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)))
+        assert options["eval"] == options["agree"] == ["--help", "--jobs", "--out", "--threshold"]
 
     def test_two_case_golden_csv(self, tmp_path):
         pred_dir, gt_dir = two_case_dataset(tmp_path)
@@ -513,6 +536,96 @@ class TestAgree:
         assert main(["agree", str(a_dir), str(b_dir), "--out", str(out)]) == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["kappa"]["mean"] == pytest.approx(-1.0)
+
+    def test_undefined_kappa_is_null_beside_the_dice_summary(self, tmp_path):
+        empty = np.zeros((3, 3, 2), dtype=np.uint8)
+        a_dir, b_dir = write_mask_pair(tmp_path, "c0.nii", empty, empty)
+        write_mask_pair(tmp_path, "c1.nii", empty, empty)
+        out = tmp_path / "out"
+        assert main(["agree", str(a_dir), str(b_dir), "--out", str(out)]) == EXIT_OK
+        assert (out / "agreement.csv").read_text().splitlines() == ["case_id,dice,kappa", "c0,1,", "c1,1,"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary == {
+            "n_cases": 2, "dice": {"mean": 1.0, "std": 0.0, "median": 1.0, "n": 2}, "kappa": None
+        }
+        assert '"kappa": null' in (out / "summary.json").read_text()
+
+
+class TestSpatialUnits:
+    """A pair stored in microns or meters scores as its millimeter twin does."""
+
+    @staticmethod
+    def cube_pair(size, shift):
+        pred = np.zeros((10, 10, 10), dtype=np.uint8)
+        gt = np.zeros_like(pred)
+        pred[2:2 + size, 2:2 + size, 2:2 + size] = 1
+        gt[2 + shift:2 + shift + size, 2:2 + size, 2:2 + size] = 1
+        return pred, gt
+
+    @staticmethod
+    def write_units(path, data, pixdim, units, byte_order="<"):
+        raw = bytearray(build_nifti1_bytes(data, pixdim, byte_order=byte_order))
+        raw[123] = units
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(bytes(raw))
+
+    def mm_twin(self, tmp_path, cases):
+        """Evaluate ``cases`` (name -> (pred, gt)) stored in mm; returns the out dir."""
+        mm = tmp_path / "mm"
+        mm.mkdir()
+        for name, (pred, gt) in cases.items():
+            write_mask_pair(mm, f"{name}.nii", pred, gt)
+        assert main(["eval", str(mm / "pred"), str(mm / "gt"), "--out", str(mm / "out")]) == EXIT_OK
+        return mm / "out"
+
+    @pytest.mark.parametrize("byte_order", ["<", ">"])
+    def test_micron_pair_scores_in_mm_through_eval_and_volume(self, tmp_path, byte_order):
+        cases = {"c5": self.cube_pair(5, 1), "c4": self.cube_pair(4, 1)}
+        pred_dir, gt_dir = tmp_path / "um" / "pred", tmp_path / "um" / "gt"
+        for name, (pred, gt) in cases.items():
+            self.write_units(pred_dir / f"{name}.nii", pred, (1000, 1000, 1000), 3, byte_order)
+            self.write_units(gt_dir / f"{name}.nii", gt, (1000, 1000, 1000), 3, byte_order)
+        out = tmp_path / "um" / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        with open(out / "cases.csv", newline="") as f:
+            row = {r["case_id"]: r for r in csv.DictReader(f)}["c5"]
+        assert [row[k] for k in ("hd95_mm", "assd_mm", "pred_ml", "gt_ml")] == ["1", "0.346939", "0.125", "0.125"]
+        twin = self.mm_twin(tmp_path, cases)
+        for name in ("cases.csv", "summary.json"):
+            assert (out / name).read_bytes() == (twin / name).read_bytes(), name
+        assert main(["volume", str(out / "cases.csv"), "--out", str(out / "volume.json")]) == EXIT_OK
+        assert main(["volume", str(twin / "cases.csv"), "--out", str(twin / "volume.json")]) == EXIT_OK
+        assert (out / "volume.json").read_bytes() == (twin / "volume.json").read_bytes()
+        assert json.loads((out / "volume.json").read_text())["slope"] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("pred_pixdim,pred_units", [
+        ((1, 1, 1), 2),  # mm beside a micron ground truth
+        ((0.001, 0.001, 0.001), 1),  # meter
+    ])
+    def test_mixed_units_pass_the_spacing_check(self, tmp_path, pred_pixdim, pred_units):
+        pred, gt = self.cube_pair(5, 1)
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        self.write_units(pred_dir / "c5.nii", pred, pred_pixdim, pred_units)
+        self.write_units(gt_dir / "c5.nii", gt, (1000, 1000, 1000), 3)
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        twin = self.mm_twin(tmp_path, {"c5": (pred, gt)})
+        got, want = ((d / "cases.csv").read_text().splitlines() for d in (out, twin))
+        assert got[0] == want[0] and got[1].startswith("c5,")
+        # a float32 pixdim of 0.001 m is 1.00000005 mm
+        assert [float(c) for c in got[1].split(",")[1:]] == pytest.approx(
+            [float(c) for c in want[1].split(",")[1:]], abs=1e-6)
+
+    def test_unknown_spatial_code_fails_the_case(self, tmp_path, capsys):
+        pred, gt = self.cube_pair(5, 1)
+        pred_dir, gt_dir = write_mask_pair(tmp_path, "good.nii", pred, gt)
+        write_mask_pair(tmp_path, "bad.nii", pred, gt)
+        self.write_units(pred_dir / "bad.nii", pred, (1, 1, 1), 5)
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "error: case bad: NiftiError:" in err and "spatial units code 5" in err
+        assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["bad"]
 
 
 class TestBounds:

@@ -197,9 +197,8 @@ class TestTTest:
 
 class TestCohortReport:
     def test_single_perfect_case(self):
-        report = cohort_report([simple_case()], "all")
-        assert list(report) == ["groups", "comparisons"] and report["comparisons"] == []
-        g = report["groups"]["all"]
+        g = cohort_report([simple_case()])
+        assert list(g) == ["n_cases", "metrics", "avpe"]
         assert g["n_cases"] == 1
         assert g["metrics"]["dice"] == {"mean": 1.0, "std": 0.0, "median": 1.0, "n": 1}
         assert g["metrics"]["hd95_mm"]["mean"] == 0.0
@@ -212,9 +211,7 @@ class TestCohortReport:
             simple_case(dice=0.8, vpe=0.10),
             simple_case(dice=0.9, vpe=-0.05),
         ]
-        report = cohort_report(cases, "ct")
-        assert list(report["groups"]) == ["ct"]
-        ct = report["groups"]["ct"]
+        ct = cohort_report(cases)
         assert ct["n_cases"] == 2
         assert ct["metrics"]["dice"]["mean"] == pytest.approx(0.85)
         assert ct["avpe"]["mean_dice"] == ct["metrics"]["dice"]["mean"]
@@ -225,16 +222,15 @@ class TestCohortReport:
     def test_metrics_in_case_metrics_field_order(self):
         from dataclasses import fields
 
-        report = cohort_report([simple_case(), simple_case(dice=0.5, vpe=0.5)], "all")
-        assert list(report["groups"]["all"]["metrics"]) == [f.name for f in fields(CaseMetrics)]
+        report = cohort_report([simple_case(), simple_case(dice=0.5, vpe=0.5)])
+        assert list(report["metrics"]) == [f.name for f in fields(CaseMetrics)]
 
     def test_undefined_metrics_skipped(self):
         c = simple_case(precision=None, hd95_mm=None, assd_mm=None)
-        report = cohort_report([c], "g")
-        m = report["groups"]["g"]["metrics"]
+        m = cohort_report([c])["metrics"]
         assert m["precision"] is None and m["hd95_mm"] is None
         assert m["dice"]["n"] == 1
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            cohort_report([], "all")
+            cohort_report([])

@@ -116,6 +116,7 @@ class TestNiftiRoundTrip:
 
         datatype, bitpix = struct.unpack_from("<2h", raw, 70)
         assert (datatype, bitpix) == (2, 8)
+        assert raw[123] == 0  # xyzt_units: unknown, read back as mm
         assert raw[344:348] == b"n+1\x00"
 
     @pytest.mark.parametrize("dtype", DTYPES)
@@ -179,6 +180,36 @@ class TestThirdPartyFixture:
             got[0, 0, 0] = 0
         if np.dtype(byte_order + data.dtype.str[1:]).isnative and vox_offset % data.dtype.itemsize == 0:
             assert not got.flags.owndata  # a view of the file's bytes, not a copy
+
+
+class TestSpatialUnits:
+    """pixdim 1-3 are read in the unit that xyzt_units' spatial bits name, and returned in mm."""
+
+    @staticmethod
+    def load(tmp_path, pixdim, units, byte_order):
+        raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), pixdim, byte_order=byte_order))
+        raw[123] = units  # one byte: no byte order
+        path = tmp_path / "units.nii"
+        path.write_bytes(bytes(raw))
+        return load_nifti(path)
+
+    @pytest.mark.parametrize("byte_order", ["<", ">"])
+    @pytest.mark.parametrize("units,pixdim,spacing", [
+        (0, (0.5, 2.0, 3.0), (0.5, 2.0, 3.0)),  # unknown: read as mm
+        (2, (0.5, 2.0, 3.0), (0.5, 2.0, 3.0)),  # mm
+        (3, (500.0, 2000.0, 3000.0), (0.5, 2.0, 3.0)),  # micron
+        (1, (0.5, 2.0, 3.0), (500.0, 2000.0, 3000.0)),  # meter
+        (3 | 16, (500.0, 2000.0, 3000.0), (0.5, 2.0, 3.0)),  # micron, time in ms: time bits ignored
+        (2 | 8, (0.5, 2.0, 3.0), (0.5, 2.0, 3.0)),  # mm, time in s
+    ])
+    def test_spacing_is_in_mm(self, tmp_path, byte_order, units, pixdim, spacing):
+        assert self.load(tmp_path, pixdim, units, byte_order).spacing == spacing
+
+    @pytest.mark.parametrize("byte_order", ["<", ">"])
+    @pytest.mark.parametrize("units", [4, 5, 6, 7, 5 | 8])
+    def test_unknown_spatial_code_is_nifti_error(self, tmp_path, byte_order, units):
+        with pytest.raises(NiftiError, match=f"spatial units code {units & 7}"):
+            self.load(tmp_path, (1.0, 1.0, 1.0), units, byte_order)
 
 
 class TestNiftiErrors:
