@@ -12,6 +12,7 @@ with 6 significant digits; JSON keeps full precision.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -22,7 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 from .cohortstats import linear_fit
-from .volbounds import BOUND_CURVE_CSV_HEADER, avpe_bound, bound_curve, vpe_bounds_from_dice
+from .volbounds import BOUND_CURVE_CSV_HEADER, VpeBounds, avpe_bound, bound_curve, vpe_bounds_from_dice
 
 # The array-layer names this module uses, bound from the package's lazy exports
 # on first use (``_bind_array_layers``) so that importing the CLI, and running
@@ -60,8 +61,10 @@ EXIT_PARTIAL = 5
 
 WORKER_MEM_ENV = "VOLKIT_WORKER_MEM_MB"
 
-# Audit tolerance absorbs the 6-significant-digit rounding of eval CSV rows.
-_AUDIT_TOL = 1e-4
+# ``VpeBounds.admits`` precision for eval CSV values: one unit in the 6th digit
+# ``_fmt`` writes. Enough: a value read back is within 5e-6 of its size, and
+# ``segmetrics._check_compatible`` lets the spacings differ by 1e-6 per axis.
+_CSV_RTOL = 1e-5
 
 # The most rows ``bounds --curve`` tabulates; a smaller STEP is a usage error.
 _CURVE_MAX_ROWS = 10**5
@@ -300,6 +303,43 @@ def _eval_one(task):
         return case_id, None, f"{type(exc).__name__}: {exc}"
 
 
+def _pooled(tasks, jobs: int, initargs) -> list:
+    """``_eval_one`` of each task, in a pool of ``jobs`` workers that each run
+    ``_limit_worker_memory(*initargs)`` first.
+
+    A worker that dies (a SIGKILL, the kernel's OOM killer) breaks the pool and
+    every case it had not finished. Those cases run again in order, in one
+    one-worker pool. The first case such a pool leaves unfinished runs again
+    alone, in a fresh one-worker pool; if it kills that worker too it fails as
+    "worker process died". The cases after it continue in another pool.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    def run(batch, workers):  # each outcome, or None where the pool broke first
+        futures = []
+        with ProcessPoolExecutor(workers, initializer=_limit_worker_memory, initargs=initargs) as pool:
+            with contextlib.suppress(BrokenProcessPool):  # raised by a submit after the break
+                for task in batch:
+                    futures.append(pool.submit(_eval_one, task))
+        outcomes = [None] * len(batch)
+        for i, future in enumerate(futures):
+            with contextlib.suppress(BrokenProcessPool):
+                outcomes[i] = future.result()
+        return outcomes
+
+    outcomes = run(tasks, jobs)
+    broken = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    while broken:
+        for i, outcome in zip(broken, run([tasks[i] for i in broken], 1)):
+            outcomes[i] = outcome
+        broken = [i for i in broken if outcomes[i] is None]
+        if broken:  # one worker runs the cases in order: the first unfinished one killed it
+            i = broken.pop(0)
+            outcomes[i] = run([tasks[i]], 1)[0] or (tasks[i][1], None, "worker process died")
+    return outcomes
+
+
 def _case_csv_row(case_id: str, m) -> list:
     return [case_id, *map(_fmt, vars(m).values())]
 
@@ -372,13 +412,7 @@ def cmd_dataset(args) -> int:
     _bind_array_layers()
     tasks = [(dataset.measure, cid, a, b, args.threshold) for cid, (a, b) in pairs.items()]
     if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(tasks)), initializer=_limit_worker_memory,
-            initargs=(args.command, mem_mb),
-        ) as pool:
-            outcomes = list(pool.map(_eval_one, tasks))
+        outcomes = _pooled(tasks, min(args.jobs, len(tasks)), (args.command, mem_mb))
     else:
         _limit_worker_memory(args.command, mem_mb)
         outcomes = [_eval_one(t) for t in tasks]
@@ -436,10 +470,8 @@ def cmd_bounds(args) -> int:
             continue
         b = vpe_bounds_from_dice(dice)
         checked += 1
-        if vpe < b.lower - _AUDIT_TOL or vpe > b.upper + _AUDIT_TOL:
-            violations.append(
-                {"case_id": case_id, "dice": dice, "vpe": vpe, "lower": b.lower, "upper": b.upper}
-            )
+        if not b.admits(vpe, _CSV_RTOL):
+            violations.append({"case_id": case_id, "dice": dice, "vpe": vpe, **vars(b)})
     _write(args.out, _dump_json({"checked": checked, "violations": violations}))
     if violations:
         _progress(f"error: {len(violations)} bound violations (metric implementation bug)")
@@ -517,7 +549,7 @@ def cmd_volume(args) -> int:
         if mean_dice > 0 and abs_vpes:
             bound = avpe_bound(mean_dice)
             result["avpe_bound"] = bound
-            result["avpe_bound_satisfied"] = bool(result["mean_abs_vpe"] <= bound + _AUDIT_TOL)
+            result["avpe_bound_satisfied"] = VpeBounds(-1.0, bound).admits(result["mean_abs_vpe"], _CSV_RTOL)
         text = _dump_json(result)  # squares of finite cells can overflow to inf, then NaN
     except (ValueError, OverflowError) as exc:  # fsum overflows on sums beyond 1.8e308
         raise _Exit(EXIT_IO, str(exc)) from exc

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .volbounds import avpe_bound
+from .volbounds import VpeBounds, avpe_bound
 
 if TYPE_CHECKING:
     from .segmetrics import CaseMetrics
@@ -191,8 +191,9 @@ def cohort_report(cases: list[CaseMetrics]) -> dict:
     """One cohort's case count, metric summaries and avpe bound audit.
 
     Returns ``{"n_cases": ..., "metrics": ..., "avpe": ...}``; ``avpe`` is None
-    when no case has a vpe or the mean dice is 0. Paired comparisons between
-    cohorts belong to :func:`paired_t_test`.
+    when no case has a vpe or the mean dice is 0; its ``violated`` is ``not
+    VpeBounds(-1, bound).admits(mean |vpe|)``, at float-rounding precision.
+    Paired comparisons between cohorts belong to :func:`paired_t_test`.
     """
     import numpy as np
 
@@ -213,6 +214,6 @@ def cohort_report(cases: list[CaseMetrics]) -> dict:
             "mean_dice": mean_dice,
             "mean_abs_vpe": mean_abs_vpe,
             "bound": bound,
-            "violated": bool(mean_abs_vpe > bound + 1e-12),
+            "violated": not VpeBounds(-1.0, bound).admits(mean_abs_vpe),
         }
     return entry

@@ -8,7 +8,10 @@ the closed forms, two verifiers and the bound-curve table. The check reads
 only a mask pair's count triple ``(n_pred, n_gt, overlap)``. The exhaustive
 verifier covers every triple of a grid of up to 125 voxels, and so every mask
 pair; the sampled one draws triples of larger grids. Both check
-``vpe_bounds_from_dice`` itself, and neither loads numpy.
+``vpe_bounds_from_dice`` itself, and neither loads numpy. Every interval check
+is ``VpeBounds.admits``: it compares value + 2, always positive (``vpe + 2 =
+(n_pred + n_gt)/n_gt``; the bounds + 2 are ``2/(2 - dice)`` and ``2/dice``), so
+one relative precision covers the dice and the vpe at any dice.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ from math import prod
 BOUND_CURVE_CSV_HEADER = "dice,vpe_lower,vpe_upper,abs_lower,abs_upper"
 
 _EXHAUSTIVE_VOXEL_CAP = 125  # 5x5x5
-_TOL = 1e-12  # float rounding allowed beyond a closed-form bound
+_RTOL = 1e-12  # float rounding allowed beyond a closed-form bound
 
 
 @dataclass(frozen=True)
 class VpeBounds:
     lower: float  # in [-1, 0]
     upper: float  # >= 0
+
+    def admits(self, vpe: float, rtol: float = _RTOL) -> bool:
+        """Whether ``vpe`` is in the interval, to relative precision ``rtol`` in each value + 2."""
+        return (self.lower + 2.0) * (1.0 - 2.0 * rtol) <= vpe + 2.0 <= (self.upper + 2.0) * (1.0 + 2.0 * rtol)
 
 
 @dataclass(frozen=True)
@@ -59,8 +66,8 @@ def avpe_bound(mean_dice: float) -> float:
 
 
 def _outside_bounds(n_pred: int, n_gt: int, overlap: int):
-    """(dice, vpe, lower, upper) of a pair whose vpe leaves ``vpe_bounds_from_dice(dice)``
-    by more than ``_TOL``, or whose interval has ``|lower| > upper``; None otherwise.
+    """(dice, vpe, lower, upper) of a pair whose vpe ``vpe_bounds_from_dice(dice)`` does
+    not admit, or whose interval has ``|lower| > upper``; None otherwise.
 
     The pair is given by its foreground counts, with ``n_gt`` and ``overlap`` positive.
     """
@@ -68,9 +75,7 @@ def _outside_bounds(n_pred: int, n_gt: int, overlap: int):
     v = vpe(n_pred, n_gt)
     b = vpe_bounds_from_dice(dice)
     # HM-GM consequence: |lower| <= upper must hold pointwise too.
-    if v < b.lower - _TOL or v > b.upper + _TOL or -b.lower > b.upper + _TOL:
-        return dice, v, b.lower, b.upper
-    return None
+    return None if b.admits(v) and b.admits(-b.lower) else (dice, v, b.lower, b.upper)
 
 
 def _overlaps(n_pred: int, n_gt: int, n_vox: int) -> range:

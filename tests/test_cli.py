@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import math
 import os
 import re
 import stat
@@ -459,8 +460,10 @@ class TestEval:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = concurrent.futures.Future()
+                future.set_result(fn(task))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         pred_dir, gt_dir = two_case_dataset(tmp_path)
@@ -468,6 +471,43 @@ class TestEval:
             out = tmp_path / f"out{jobs}"
             assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", jobs]) == EXIT_OK
             assert started.pop() == want
+
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    @pytest.mark.parametrize("victims", [["a"], ["c"], ["a", "c"]], ids=["first-case", "last-case", "first-and-last"])
+    def test_a_dead_worker_fails_only_its_case(self, tmp_path, monkeypatch, capsys, command, csv_name, victims):
+        # A SIGKILLed worker (the kernel's OOM killer) breaks the pool. The worker
+        # forked from this process inherits the patched loader.
+        import signal
+
+        import volkit.cli as cli
+
+        mask = np.zeros((4, 3, 2), dtype=np.uint8)
+        mask[1:3, 1, :] = 1
+        other = mask.copy()
+        other[0, 0, 0] = 1
+        for case in "abc":
+            pred_dir, gt_dir = write_mask_pair(tmp_path, f"{case}.nii", other if case == "b" else mask, mask)
+        serial = tmp_path / "serial"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(serial), "--jobs", "1"]) == EXIT_OK
+        want = [row for row in (serial / csv_name).read_text().splitlines() if row.split(",")[0] not in victims]
+
+        real, parent = cli._load_mask, os.getpid()
+
+        def load(path, threshold):
+            if Path(path).stem in victims and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(path, threshold)
+
+        monkeypatch.setattr(cli, "_load_mask", load)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", "2"]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert all(f"error: case {victim}: worker process died" in err for victim in victims)
+        assert err.count("worker process died") == len(victims) and "Traceback" not in err
+        assert (out / csv_name).read_text().splitlines() == want
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_cases"] == victims and summary["n_cases"] == 3 - len(victims)
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("flag,value", [
@@ -715,6 +755,54 @@ class TestBounds:
         report = json.loads(report_path.read_text())
         assert report["violations"] == []
         assert report["checked"] == 2
+
+    def test_audit_of_a_nested_low_dice_eval_pair(self, tmp_path):
+        # 1-voxel gt inside a 161-voxel prediction: read back as dice 0.0123457 and
+        # vpe 160, against a recomputed upper bound of 159.99972
+        pred = np.ones((7, 23, 1), dtype=np.uint8)
+        gt = np.zeros_like(pred)
+        gt[3, 11, 0] = 1
+        pred_dir, gt_dir = write_mask_pair(tmp_path, "nested.nii", pred, gt)
+        out = tmp_path / "out"
+        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        row = (out / "cases.csv").read_text().splitlines()[1].split(",")
+        assert (row[1], row[-1]) == ("0.0123457", "160")
+        report = tmp_path / "audit.json"
+        assert main(["bounds", "--audit", str(out / "cases.csv"), "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text()) == {"checked": 1, "violations": []}
+
+    def test_audit_of_realisable_rows_flags_none(self, tmp_path):
+        # Count triples with pred/gt ratios up to 10^7 either way, written as eval
+        # writes them: the masks may be any, so every row is realisable and any
+        # violation is a false alarm. Each axis of the pred spacing may differ from
+        # the gt's by up to the 1e-6 that evaluate_case accepts.
+        import random
+
+        rng = random.Random(2217)
+        spacings = ((1.0, 1.0, 1.0), (0.7, 0.7, 2.5), (0.8125, 0.8125, 5.0), (1.5, 1.5, 1.5), (0.3, 0.45, 3.3))
+        rows = []
+        for i in range(20_000):
+            n_pred, n_gt = (int(10 ** rng.uniform(0, 7)) for _ in range(2))
+            overlap = rng.choice((1, min(n_pred, n_gt), rng.randint(1, min(n_pred, n_gt))))
+            gt_spacing = rng.choice(spacings)
+            pred_spacing = [s * (1 + rng.choice((-1, 0, 1)) * 0.99e-6) for s in gt_spacing]
+            pred_ml, gt_ml = (n * math.prod(s) / 1000.0 for n, s in ((n_pred, pred_spacing), (n_gt, gt_spacing)))
+            rows.append([f"c{i}", _fmt(2 * overlap / (n_pred + n_gt)), _fmt(pred_ml / gt_ml - 1.0)])
+        path = tmp_path / "cases.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in [["case_id", "dice", "vpe"], *rows]))
+        report = tmp_path / "audit.json"
+        assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text()) == {"checked": len(rows), "violations": []}
+
+    def test_audit_flags_a_row_a_few_units_of_its_last_digit_above_the_bound(self, tmp_path):
+        # dice 0.0196078 bounds vpe by 100.000224; 100.003 is 3 units of its 6th digit above
+        path = tmp_path / "cases.csv"
+        path.write_text("case_id,dice,vpe\nat,0.0196078,100\nabove,0.0196078,100.003\n")
+        report = tmp_path / "audit.json"
+        assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_CHECK
+        (violation,) = json.loads(report.read_text())["violations"]
+        assert violation == {"case_id": "above", "dice": 0.0196078, "vpe": 100.003,
+                             "lower": 2 / (2 - 0.0196078) - 2, "upper": 2 / 0.0196078 - 2}
 
     def test_audit_flags_inconsistent_rows(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -8,6 +8,7 @@ from oracles import brute_bound_violations
 from volkit import volbounds
 from volkit.segmetrics import confusion, region_metrics
 from volkit.volbounds import (
+    VpeBounds,
     avpe_bound,
     bound_curve,
     verify_bounds_exhaustive,
@@ -169,6 +170,32 @@ class TestExhaustiveVerification:
     def test_identity_pairs_hit_equality(self):
         b = vpe_bounds_from_dice(1.0)
         assert b.lower == b.upper == 0.0
+
+
+class TestAdmits:
+    def test_compares_value_plus_two_at_relative_precision(self):
+        b = VpeBounds(lower=-0.5, upper=1.0)  # + 2: 1.5 and 3.0
+        assert b.admits(-0.5) and b.admits(1.0) and b.admits(0.25)
+        assert not b.admits(1.0 + 1e-9) and not b.admits(-0.5 - 1e-9)
+        assert b.admits(1.0 + 5.9e-5, rtol=1e-5) and not b.admits(1.0 + 6.1e-5, rtol=1e-5)
+        assert b.admits(-0.5 - 2.9e-5, rtol=1e-5) and not b.admits(-0.5 - 3.1e-5, rtol=1e-5)
+
+    def test_large_ratio_pair_meets_its_bound(self):
+        # vpe 99999.0 against an upper bound that computes as 99998.99999999999
+        assert volbounds._outside_bounds(100000, 1, 1) is None
+
+    @pytest.mark.parametrize("side,triple", [("upper", (2, 1, 1)), ("lower", (1, 2, 1))])
+    def test_flags_a_bound_moved_1e_9_inward(self, monkeypatch, side, triple):
+        # nested pairs: gt inside pred meets the upper bound, pred inside gt the lower
+        real = volbounds.vpe_bounds_from_dice
+
+        def moved(dice):
+            b = real(dice)
+            return VpeBounds(lower=b.lower + 1e-9 * (side == "lower"), upper=b.upper - 1e-9 * (side == "upper"))
+
+        assert volbounds._outside_bounds(*triple) is None
+        monkeypatch.setattr(volbounds, "vpe_bounds_from_dice", moved)
+        assert volbounds._outside_bounds(*triple) is not None
 
 
 def checked_triples(monkeypatch, verify, *args, **kwargs):
