@@ -1,8 +1,8 @@
 """Batch command-line surface: eval, agree, bounds, attn-check, attn-bench, volume.
 
 Exit codes: 0 success, 2 usage error, 3 I/O failure (including "no case
-pairs found"), 4 verification/check failure, 5 partial dataset failure
-(some cases evaluated, some unreadable).
+pairs found"), 4 verification/check failure, 5 dataset failure (at least one
+case could not be loaded or measured, up to every case).
 
 stderr carries progress and diagnostics; stdout stays silent unless a
 single-file output is requested with ``--out -``. CSV floats are printed
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .cohortstats import linear_fit
+from .cohortstats import linear_fit, summarize_fields
 from .volbounds import BOUND_CURVE_CSV_HEADER, VpeBounds, avpe_bound, bound_curve, vpe_bounds_from_dice
 
 # The array-layer names this module uses, bound from the package's lazy exports
@@ -283,14 +283,21 @@ def _evaluate(pred, gt):
     return evaluate_case(pred, gt)
 
 
-def _agreement(a, b):
-    """Dice and Cohen's kappa of two raters' masks; kappa is None where undefined."""
+@dataclass(frozen=True)
+class _Agreement:
+    """One ``agree`` case: Dice and Cohen's kappa of two raters' masks."""
+
+    dice: float
+    kappa: float | None  # None where undefined
+
+
+def _agreement(a, b) -> _Agreement:
     dice = region_metrics(confusion(a, b)).dice
     try:
         kappa = cohen_kappa(a, b)
     except UndefinedMetricError:
         kappa = None
-    return dice, kappa
+    return _Agreement(dice, kappa)
 
 
 def _eval_one(task):
@@ -340,51 +347,33 @@ def _pooled(tasks, jobs: int, initargs) -> list:
     return outcomes
 
 
-def _case_csv_row(case_id: str, m) -> list:
-    return [case_id, *map(_fmt, vars(m).values())]
-
-
-def _agreement_csv_row(case_id: str, result) -> list:
-    dice, kappa = result
-    return [case_id, _fmt(dice), _fmt(kappa)]
-
-
-def _eval_summary(results) -> dict:
+def _eval_summary(records) -> dict:
     # one cohort, but "group", "groups" and "comparisons" stay: they are part of the frozen summary.json format
-    entry = cohort_report([m for _, m in results])
+    entry = cohort_report(records)
     return {"group": "all", "report": {"groups": {"all": entry}, "comparisons": []}}
-
-
-def _agreement_summary(results) -> dict:
-    from .cohortstats import summarize
-
-    kappas = [k for _, (_, k) in results if k is not None]
-    return {
-        "dice": vars(summarize([d for _, (d, _) in results])),
-        "kappa": vars(summarize(kappas)) if kappas else None,
-    }
 
 
 @dataclass(frozen=True)
 class _Dataset:
-    """What a dataset command measures per case, and the files it writes."""
+    """What a dataset command measures per case, and the files it writes.
 
-    measure: Callable  # (mask_a, mask_b) -> the case's result, in a worker
+    A case's result is a dataclass record. Its CSV row is the case id, then
+    ``_fmt`` of each field in order, under ``header``.
+    """
+
+    measure: Callable  # (mask_a, mask_b) -> the case's record, in a worker
     csv_name: str
     header: tuple[str, ...]
-    row: Callable  # (case_id, result) -> the case's CSV cells
-    summary: Callable  # [(case_id, result)] -> summary.json's own keys
+    summary: Callable  # [record] -> summary.json's own keys
 
 
 _DATASETS = {
     "eval": _Dataset(
         _evaluate, "cases.csv",
         ("case_id", "dice", "jaccard", "precision", "recall", "hd95_mm", "assd_mm", "pred_ml", "gt_ml", "vpe"),
-        _case_csv_row, _eval_summary,
+        _eval_summary,
     ),
-    "agree": _Dataset(
-        _agreement, "agreement.csv", ("case_id", "dice", "kappa"), _agreement_csv_row, _agreement_summary
-    ),
+    "agree": _Dataset(_agreement, "agreement.csv", ("case_id", "dice", "kappa"), summarize_fields),
 }
 
 
@@ -424,10 +413,10 @@ def cmd_dataset(args) -> int:
             failed.append(cid)
             _progress(f"error: case {cid}: {err}")
 
-    table = _csv(dataset.header, (dataset.row(cid, res) for cid, res in results))
+    table = _csv(dataset.header, ([cid, *map(_fmt, vars(res).values())] for cid, res in results))
     summary_text = None
     if results:
-        summary = {"n_cases": len(results), **dataset.summary(results)}
+        summary = {"n_cases": len(results), **dataset.summary([res for _, res in results])}
         if failed:
             summary["failed_cases"] = failed
         summary_text = _dump_json(summary)

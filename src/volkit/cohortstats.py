@@ -4,8 +4,8 @@ The t-distribution tail is evaluated through the regularized incomplete beta
 function, computed by the standard continued-fraction expansion (modified
 Lentz) to 1e-12; the test suite cross-checks it against direct quadrature
 of the t density. ``linear_fit`` and ``paired_t_test`` are plain Python
-(``math.fsum``, :mod:`statistics`) and do not import numpy; the summaries and
-cohort reports import numpy when called.
+(``math.fsum``, :mod:`statistics`). ``summarize`` is the only function that
+imports numpy (when called); ``summarize_fields`` and ``cohort_report`` use it.
 """
 
 from __future__ import annotations
@@ -55,6 +55,21 @@ def summarize(values) -> MetricSummary:
     return MetricSummary(
         mean=float(values.mean()), std=std, median=float(np.median(values)), n=values.size
     )
+
+
+def summarize_fields(records) -> dict:
+    """Each field of the dataclass ``records`` as ``vars(summarize(...))``, in field order.
+
+    A field is summarised over the records that define it (not None); a field
+    that no record defines is None. An empty list raises ValueError.
+    """
+    if not records:
+        raise ValueError("cannot summarize an empty list of records")
+    summaries = {}
+    for name in vars(records[0]):
+        defined = [v for v in (getattr(r, name) for r in records) if v is not None]
+        summaries[name] = vars(summarize(defined)) if defined else None
+    return summaries
 
 
 def linear_fit(x, y) -> RegressionFit:
@@ -195,21 +210,14 @@ def cohort_report(cases: list[CaseMetrics]) -> dict:
     VpeBounds(-1, bound).admits(mean |vpe|)``, at float-rounding precision.
     Paired comparisons between cohorts belong to :func:`paired_t_test`.
     """
-    import numpy as np
-
-    if not cases:
-        raise ValueError("cannot report on an empty cohort")
-    metrics = {}
-    for name in vars(cases[0]):  # CaseMetrics' field order
-        defined = [v for v in (getattr(c, name) for c in cases) if v is not None]
-        metrics[name] = vars(summarize(defined)) if defined else None
+    metrics = summarize_fields(cases)  # raises ValueError on an empty cohort
     entry = {"n_cases": len(cases), "metrics": metrics, "avpe": None}
 
     abs_vpes = [abs(c.vpe) for c in cases if c.vpe is not None]
     mean_dice = metrics["dice"]["mean"]
     if abs_vpes and mean_dice > 0:
         bound = avpe_bound(mean_dice)
-        mean_abs_vpe = float(np.mean(abs_vpes))
+        mean_abs_vpe = summarize(abs_vpes).mean
         entry["avpe"] = {
             "mean_dice": mean_dice,
             "mean_abs_vpe": mean_abs_vpe,

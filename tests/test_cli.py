@@ -88,25 +88,33 @@ class TestEval:
         assert lines[1] == "alpha,1,1,1,1,0,0,0.003,0.003,0"
         assert lines[2] == "beta,0.6,0.428571,0.5,0.75,1,0.4,0.006,0.004,0.5"
 
-    def test_csv_columns_are_case_metrics_fields_in_order(self, tmp_path):
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_csv_columns_are_record_fields_in_order(self, tmp_path, command):
         from dataclasses import fields
 
+        from volkit import cli
         from volkit.segmetrics import CaseMetrics, evaluate_case
         from volkit.volgrid import BinaryMask
 
+        record_type, csv_name, measure = {
+            "eval": (CaseMetrics, "cases.csv", evaluate_case),
+            "agree": (cli._Agreement, "agreement.csv", cli._agreement),
+        }[command]
         pred_dir, gt_dir = two_case_dataset(tmp_path)
         out = tmp_path / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
-        with open(out / "cases.csv", newline="") as f:
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
+        with open(out / csv_name, newline="") as f:
             reader = csv.reader(f)
             header = next(reader)
             rows = list(reader)
-        names = [f.name for f in fields(CaseMetrics)]
-        assert header[1:] == [n.replace("_volume_ml", "_ml") for n in names]
+        names = [f.name for f in fields(record_type)]
+        assert header == ["case_id", *(n.replace("_volume_ml", "_ml") for n in names)]
+        assert [row[0] for row in rows] == ["alpha", "beta"]
         for row in rows:
             grids = [load_nifti(Path(d) / f"{row[0]}.nii") for d in (pred_dir, gt_dir)]
-            m = evaluate_case(*(BinaryMask(g.data, g.spacing) for g in grids))
-            assert row[1:] == [_fmt(getattr(m, n)) for n in names]
+            record = measure(*(BinaryMask(g.data, g.spacing) for g in grids))
+            assert type(record) is record_type
+            assert row[1:] == [_fmt(getattr(record, n)) for n in names]
 
     @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
     def test_no_pairs_exit_code(self, tmp_path, command, csv_name):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from volkit.cohortstats import (
     linear_fit,
     paired_t_test,
     summarize,
+    summarize_fields,
     t_two_sided_p,
 )
 from volkit.segmetrics import CaseMetrics
@@ -59,6 +61,61 @@ class TestSummarize:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="values must be finite"):
             summarize([1.0, bad])
+
+
+@dataclass(frozen=True)
+class Rated:
+    """A two-field record like ``cli``'s agreement result; ``kappa`` may be undefined."""
+
+    dice: float
+    kappa: float | None
+
+
+class TestSummarizeFields:
+    def test_fields_in_record_order(self):
+        from dataclasses import fields
+
+        summary = summarize_fields([simple_case(), simple_case(dice=0.5, vpe=0.5)])
+        assert list(summary) == [f.name for f in fields(CaseMetrics)]
+        assert list(summarize_fields([Rated(0.5, 0.2)])) == ["dice", "kappa"]
+
+    def test_field_no_record_defines_is_none(self):
+        summary = summarize_fields([Rated(0.5, None), Rated(1.0, None)])
+        assert summary["kappa"] is None
+        assert summary["dice"] == vars(summarize([0.5, 1.0]))
+
+    def test_n_counts_only_defined_values(self):
+        summary = summarize_fields([Rated(0.5, None), Rated(1.0, 0.4), Rated(0.25, 0.6)])
+        assert summary["dice"]["n"] == 3
+        assert summary["kappa"] == vars(summarize([0.4, 0.6]))
+        assert summary["kappa"]["n"] == 2
+
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            summarize_fields([])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_same_values_as_the_inline_expressions(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        cases = [
+            simple_case(dice=float(d), vpe=float(v), hd95_mm=None if undefined else float(h))
+            for d, v, h, undefined in zip(rng.uniform(0.01, 1, n), rng.normal(0, 0.3, n),
+                                          rng.uniform(0, 9, n), rng.random(n) < 0.3)
+        ]
+        want = {}  # the loop cohort_report ran over CaseMetrics' fields
+        for name in vars(cases[0]):
+            defined = [v for v in (getattr(c, name) for c in cases) if v is not None]
+            want[name] = vars(summarize(defined)) if defined else None
+        assert summarize_fields(cases) == want
+
+        rated = [Rated(float(d), None if k > 0.9 else float(k))
+                 for d, k in zip(rng.uniform(0, 1, n), rng.uniform(-1, 1, n))]
+        kappas = [r.kappa for r in rated if r.kappa is not None]  # the agree summary's expressions
+        assert summarize_fields(rated) == {
+            "dice": vars(summarize([r.dice for r in rated])),
+            "kappa": vars(summarize(kappas)) if kappas else None,
+        }
 
 
 def numpy_linear_fit(x, y):
@@ -115,6 +172,16 @@ class TestLinearFit:
 
 
 class TestIncompleteBeta:
+    @pytest.mark.parametrize("x", [-0.1, 1.5, math.nan])
+    def test_x_outside_unit_interval_rejected(self, x):
+        with pytest.raises(ValueError, match=r"x must be in \[0, 1\]"):
+            betainc_regularized(x, 2.0, 3.0)
+
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-2.0, 1.0), (1.0, -0.5)])
+    def test_non_positive_shape_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a and b must be positive"):
+            betainc_regularized(0.5, a, b)
+
     def test_endpoints(self):
         assert betainc_regularized(0.0, 2.0, 3.0) == 0.0
         assert betainc_regularized(1.0, 2.0, 3.0) == 1.0
@@ -234,3 +301,12 @@ class TestCohortReport:
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             cohort_report([])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_mean_abs_vpe_is_numpy_mean_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        cases = [simple_case(dice=float(d), vpe=float(v))
+                 for d, v in zip(rng.uniform(0.5, 1, n), rng.normal(0, 0.2, n))]
+        abs_vpes = [abs(c.vpe) for c in cases]
+        assert cohort_report(cases)["avpe"]["mean_abs_vpe"] == float(np.mean(abs_vpes))

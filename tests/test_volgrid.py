@@ -48,6 +48,17 @@ class TestVolumeGrid:
         with pytest.raises(ValueError):
             VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.complex64), spacing=(1, 1, 1))
 
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_zero_length_axis_rejected(self, shape):
+        with pytest.raises(ValueError, match="non-positive dims"):
+            VolumeGrid(data=np.zeros(shape, dtype=np.uint8), spacing=(1, 1, 1))
+
+    def test_equality_with_a_non_grid_is_false(self):
+        grid = VolumeGrid(data=np.zeros((2, 2, 2), dtype=np.uint8), spacing=(1, 1, 1))
+        assert grid.__eq__(3) is NotImplemented
+        assert not grid == 3
+        assert grid != 3
+
     def test_binary_mask_rejects_other_values(self):
         with pytest.raises(ValueError, match="exactly 0 or 1"):
             BinaryMask(np.full((2, 2, 2), 2, dtype=np.uint8), (1, 1, 1))
