@@ -589,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=16)
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--variant", choices=("both", "linear", "quadratic"), default="both",
-                   help="kernels to time (quadratic needs an n-by-n intermediate)")
+                   help="kernels to time")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output CSV ('-' for stdout)")
     p.set_defaults(func=cmd_attn_bench)

@@ -3,9 +3,10 @@
 The quadratic kernel computes ``out_i = sum_j softmax_j(Q_i.K_j/sqrt(d)) V_j``.
 The linear kernel replaces the similarity with a separable form,
 ``softmax_rows(Q) @ (softmax_cols(K).T @ V)``, evaluated in the factored
-order so the intermediate is d x d instead of n x n. Both kernels report a
-multiply-accumulate count so the cost model can be checked against the code
-that actually ran.
+order, so its cost is linear in n. Beyond its inputs each kernel holds the
+n x d output and one row block of weights, the linear one also a transient
+n x d key softmax. Both kernels report a multiply-accumulate count so the
+cost model can be checked against the code that actually ran.
 """
 
 from __future__ import annotations
@@ -66,11 +67,11 @@ def _as_float(m: np.ndarray) -> np.ndarray:
     return m if m.dtype == np.float32 else m.astype(np.float64, copy=False)
 
 
-def _softmax(m: np.ndarray, axis: int) -> np.ndarray:
-    # One full-size allocation (the max subtraction); exp and the division
-    # then run in place on it, so the argument is never modified.
+def _softmax(m: np.ndarray, axis: int, out=None) -> np.ndarray:
+    # One full-size allocation (the max subtraction) unless `out` is given; exp
+    # and the division then run in place on it, so only `out` is ever modified.
     m = _as_float(m)
-    e = m - m.max(axis=axis, keepdims=True)
+    e = np.subtract(m, m.max(axis=axis, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=axis, keepdims=True)
     return e
@@ -102,39 +103,40 @@ def attention_cost(n: int, d: int, variant: str) -> int:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def quadratic_attention(t: AttentionTensors) -> AttentionOutput:
-    """Reference attention with scaled-dot-product softmax similarity."""
-    scores = _as_float(t.q @ t.k.T)
-    # A Python float keeps float32 scores in float32 (a numpy float64 scalar
-    # would promote them); for float64 it is the same IEEE square root.
-    scores /= math.sqrt(t.d)
-    weights = softmax_rows(scores)
-    return AttentionOutput(out=weights @ t.v, flops=attention_cost(t.n, t.d, "quadratic"))
-
-
-# Queries are softmaxed and multiplied in blocks of this many elements (1 MB
-# in float32), a whole number of rows each, so no n x d row softmax is held.
+# Queries are softmaxed and multiplied in blocks of this many weights (1 MB
+# in float32), a whole number of rows each, so no n-row weight matrix is held.
 _BLOCK_ELEMENTS = 2**18
 
 
-def linear_attention(t: AttentionTensors) -> AttentionOutput:
-    """Separable attention evaluated in the factored (d x d) order.
+def _row_blocks(weights, q: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``weights(q) @ values``, in blocks of `_BLOCK_ELEMENTS // len(values)` rows of q.
 
-    Beyond the inputs it holds the n x d output, one transient n x d key
-    softmax (freed before the output is allocated) and the query softmax of
-    one row block of `_BLOCK_ELEMENTS` elements. Each row's softmax depends on
-    that row alone, so blocking changes no softmax value; the products match
-    the whole-matrix one to rounding (bit for bit in most shapes, a last-bit
-    difference where BLAS takes another path, e.g. for a one-row block).
+    A weight row depends on its own query alone, so the result, dtype included,
+    is the whole-matrix product to rounding (bit for bit in most shapes).
     """
-    context = softmax_cols(t.k).T @ t.v
-    rows = max(1, _BLOCK_ELEMENTS // t.d)
-    # the dtype the whole-matrix product softmax_rows(q) @ context would have
-    out = np.empty((t.n, t.d), np.result_type(_as_float(t.q[:0]), context))
-    for start in range(0, t.n, rows):
+    rows = max(1, _BLOCK_ELEMENTS // len(values))
+    out = np.empty((len(q), values.shape[1]), np.result_type(weights(q[:0]), values))
+    for start in range(0, len(q), rows):
         block = slice(start, start + rows)
-        np.matmul(softmax_rows(t.q[block]), context, out=out[block])
-    return AttentionOutput(out=out, flops=attention_cost(t.n, t.d, "linear"))
+        np.matmul(weights(q[block]), values, out=out[block])
+    return out
+
+
+def quadratic_attention(t: AttentionTensors) -> AttentionOutput:
+    """Reference attention with scaled-dot-product softmax similarity."""
+    def weights(q_block):
+        scores = _as_float(q_block @ t.k.T)
+        # A Python float keeps float32 scores in float32 (a numpy float64 scalar
+        # would promote them); for float64 it is the same IEEE square root.
+        scores /= math.sqrt(t.d)
+        return _softmax(scores, 1, out=scores)
+    return AttentionOutput(out=_row_blocks(weights, t.q, t.v), flops=attention_cost(t.n, t.d, "quadratic"))
+
+
+def linear_attention(t: AttentionTensors) -> AttentionOutput:
+    """Separable attention evaluated in the factored (d x d) order."""
+    context = softmax_cols(t.k).T @ t.v
+    return AttentionOutput(out=_row_blocks(softmax_rows, t.q, context), flops=attention_cost(t.n, t.d, "linear"))
 
 
 def linear_attention_weights(t: AttentionTensors) -> np.ndarray:
@@ -297,11 +299,9 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
     softmax included. Q, K and V are float32 standard normals drawn once from
     `seed` at the largest n; each smaller n times the leading n rows of that
     draw, which are C-contiguous views, not copies. `variants` restricts which
-    kernels run; the quadratic one needs an n-by-n intermediate, so skip it for
-    token counts where that matrix would not fit in memory. Raises ValueError,
-    before drawing anything, on an empty `n_list`, an n or d below 1, a
-    repeated n (it would time, and fit a slope through, one point twice),
-    repeats below 3 or an unknown variant.
+    kernels run. Raises ValueError, before drawing anything, on an empty
+    `n_list`, an n or d below 1, a repeated n (it would time, and fit a slope
+    through, one point twice), repeats below 3 or an unknown variant.
     """
     n_list = list(n_list)
     if not n_list or min(n_list) < 1 or d < 1:

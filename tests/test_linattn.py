@@ -185,44 +185,64 @@ class TestInPlaceKernels:
 class TestRowBlocks:
     """linear_attention softmaxes and multiplies the queries one row block at a time."""
 
+    kernel = staticmethod(linear_attention)
+
     @pytest.fixture
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(linattn, "_BLOCK_ELEMENTS", 2**14)
 
     @staticmethod
-    def _peak_over_inputs(t):
-        tracemalloc.start()
-        try:
-            linear_attention(t)
-            return tracemalloc.get_traced_memory()[1] / t.q.nbytes
-        finally:
-            tracemalloc.stop()
+    def _width(t):
+        return t.d
+
+    def _n(self, d, last, full_blocks):
+        rows = linattn._BLOCK_ELEMENTS // d
+        return full_blocks * rows + {"full": 0, "one_row": 1, "ragged": rows // 3}[last]
 
     @staticmethod
-    def _many_blocks(rng, d, dtype):
-        # 16 full blocks and a ragged last one
-        rows = linattn._BLOCK_ELEMENTS // d
-        n = 16 * rows + rows // 3
+    def _whole_matrix(q, k, v):
+        return softmax_rows(q) @ (softmax_cols(k).T @ v)
+
+    @staticmethod
+    def _assert_close(got, want, v, rtol):
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=0)
+
+    @staticmethod
+    def _tensors(rng, n, d, dtype):
         return AttentionTensors(*(rng.standard_normal((n, d)).astype(dtype) for _ in "qkv"))
+
+    def _assert_peak_bound(self, t):
+        tracemalloc.start()
+        try:
+            self.kernel(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beside the output, one block of weights: the query softmax, or the
+        # scores softmaxed in place. On top come numpy's ufunc buffers (the
+        # softmax's broadcast subtraction and division run buffered) and the
+        # per-row maxima and sums, two each.
+        rows = linattn._BLOCK_ELEMENTS // self._width(t)
+        elements = linattn._BLOCK_ELEMENTS + 2 * (np.getbufsize() + rows)
+        bound = t.q.nbytes + elements * t.q.itemsize
+        assert peak <= bound, f"peak {peak / t.q.nbytes:.2f} outputs, bound {bound / t.q.nbytes:.2f}"
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_peak_is_one_output_and_a_block(self, small_blocks, dtype):
-        t = self._many_blocks(np.random.default_rng(20), 16, dtype)
-        assert self._peak_over_inputs(t) <= 1.25
+        n = self._n(16, "ragged", full_blocks=16)
+        self._assert_peak_bound(self._tensors(np.random.default_rng(20), n, 16, dtype))
 
     def test_peak_at_the_benchmark_shape(self):
         # the module's own block size, float32 at d = 64 as attn-bench runs it
-        t = self._many_blocks(np.random.default_rng(21), 64, np.float32)
-        assert self._peak_over_inputs(t) <= 1.25
+        n = self._n(64, "ragged", full_blocks=16)
+        self._assert_peak_bound(self._tensors(np.random.default_rng(21), n, 64, np.float32))
 
     @pytest.mark.parametrize("last", ["full", "one_row", "ragged"])
     @pytest.mark.parametrize("d", [7, 16, 64])
     def test_equals_whole_matrix_expression(self, small_blocks, d, last):
-        rows = linattn._BLOCK_ELEMENTS // d
-        n = 5 * rows + {"full": 0, "one_row": 1, "ragged": rows // 3}[last]
+        n = self._n(d, last, full_blocks=5)
         t = random_tensors(np.random.default_rng(n + d), n, d)
-        want = softmax_rows(t.q) @ (softmax_cols(t.k).T @ t.v)
-        np.testing.assert_allclose(linear_attention(t).out, want, rtol=1e-13, atol=0)
+        self._assert_close(self.kernel(t).out, self._whole_matrix(t.q, t.k, t.v), t.v, rtol=1e-13)
 
     @pytest.mark.parametrize("dtypes", [
         (np.float64, np.float32, np.float32),
@@ -233,10 +253,44 @@ class TestRowBlocks:
     def test_mixed_dtypes_keep_the_whole_matrix_dtype(self, small_blocks, dtypes):
         rng = np.random.default_rng(22)
         q, k, v = (rng.standard_normal((500, 6)).astype(dt) for dt in dtypes)
-        want = softmax_rows(q) @ (softmax_cols(k).T @ v)
-        got = linear_attention(AttentionTensors(q=q, k=k, v=v)).out
+        want = self._whole_matrix(q, k, v)
+        got = self.kernel(AttentionTensors(q=q, k=k, v=v)).out
         assert got.dtype == want.dtype
-        np.testing.assert_allclose(got, want, rtol=1e-6)
+        self._assert_close(got, want, v, rtol=1e-6)
+
+
+class TestQuadraticRowBlocks(TestRowBlocks):
+    """quadratic_attention runs the same block loop over its n-wide scores."""
+
+    kernel = staticmethod(quadratic_attention)
+
+    @staticmethod
+    def _width(t):
+        return t.n
+
+    def _n(self, d, last, full_blocks):
+        # blocks are _BLOCK_ELEMENTS // n rows, so n is picked to match:
+        # 10 x 40, 10 x 40 + 1 and 11 x 38 + 12 rows at 2**14 elements
+        return {"full": 400, "one_row": 401, "ragged": 430}[last]
+
+    @staticmethod
+    def _whole_matrix(q, k, v):
+        # _reference_quadratic's expression; its Python-float scale keeps
+        # float32 in float32, as the kernel does
+        return softmax_rows(q @ k.T / math.sqrt(q.shape[1])) @ v
+
+    @staticmethod
+    def _assert_close(got, want, v, rtol):
+        # Each output row is a convex combination of V's rows, here a sum of n
+        # terms, and a block takes another BLAS path than the whole matrix, so
+        # an output that cancels to near zero differs by rounding on the scale
+        # of V, not on its own.
+        np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(v).max())
+
+    def test_peak_at_the_benchmark_shape(self):
+        # attn-bench's largest quadratic shape in the benchmark, at the
+        # module's own block size
+        self._assert_peak_bound(self._tensors(np.random.default_rng(21), 4096, 64, np.float32))
 
 
 class TestTensorValidation:
