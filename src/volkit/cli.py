@@ -27,7 +27,8 @@ from .volbounds import BOUND_CURVE_CSV_HEADER, VpeBounds, avpe_bound, bound_curv
 
 # The array-layer names this module uses, bound from the package's lazy exports
 # on first use (``_bind_array_layers``) so that importing the CLI, and running
-# ``bounds --audit`` or ``volume``, never loads numpy.
+# ``bounds --audit`` or ``volume``, never loads numpy. No command calls
+# ``cohen_kappa``; it stays because perfbench/tracing.py patches ``cli.cohen_kappa``.
 _ARRAY_NAMES = (
     "BinaryMask", "UndefinedMetricError", "binarize", "cohen_kappa", "cohort_report",
     "confusion", "evaluate_case", "load_nifti", "region_metrics",
@@ -292,12 +293,12 @@ class _Agreement:
 
 
 def _agreement(a, b) -> _Agreement:
-    dice = region_metrics(confusion(a, b)).dice
+    counts = confusion(a, b)
     try:
-        kappa = cohen_kappa(a, b)
+        kappa = counts.kappa()
     except UndefinedMetricError:
         kappa = None
-    return _Agreement(dice, kappa)
+    return _Agreement(region_metrics(counts).dice, kappa)
 
 
 def _eval_one(task):

@@ -183,13 +183,15 @@ def check_properties(n: int, d: int, seed: int, trials: int) -> list[tuple[str, 
     rows sum to one, factored equals unfactored, permutation equivariance,
     both kernels' outputs inside the values' convex hull, and the analytic
     gradient against central finite differences on an up-to-8x4 sub-instance.
-    Raises ValueError unless n, d and trials are all >= 1 and n <= 4096, where
-    the n x n unfactored weights stay small.
+    Raises ValueError, before drawing anything, unless n, d and trials are all
+    >= 1, seed >= 0 and n <= 4096, where the n x n unfactored weights stay small.
     """
     if min(n, d, trials) < 1:
         raise ValueError(f"need n, d and trials >= 1, got n={n}, d={d} and trials={trials}")
     if n > 4096:
         raise ValueError(f"n={n} is above 4096, the cap for unfactored comparisons")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={seed}")
     rng = np.random.default_rng(seed)
     err_rowsum = err_factored = err_perm = err_hull = err_grad = 0.0
     for _ in range(trials):
@@ -301,7 +303,8 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
     draw, which are C-contiguous views, not copies. `variants` restricts which
     kernels run. Raises ValueError, before drawing anything, on an empty
     `n_list`, an n or d below 1, a repeated n (it would time, and fit a slope
-    through, one point twice), repeats below 3 or an unknown variant.
+    through, one point twice), repeats below 3, a negative seed or an unknown
+    variant.
     """
     n_list = list(n_list)
     if not n_list or min(n_list) < 1 or d < 1:
@@ -310,6 +313,8 @@ def bench_attention(n_list, d: int, repeats: int, seed: int = 0, variants=None) 
         raise ValueError(f"n_list {n_list} repeats a token count; a slope needs distinct n")
     if repeats < 3:
         raise ValueError(f"need repeats >= 3 for a stable median, got {repeats}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got seed={seed}")
     if variants is None:
         variants = tuple(_KERNELS)
     unknown = set(variants) - set(_KERNELS)

@@ -1,9 +1,9 @@
 """Region and boundary metrics for binary volumetric masks.
 
-Region metrics come from voxelwise confusion counts; boundary metrics (HD95,
-ASSD) from surface-to-surface distances computed through an exact anisotropic
-Euclidean distance transform. Cohen's kappa treats the two masks as two
-raters labeling every voxel of the volume.
+Region metrics and Cohen's kappa come from voxelwise confusion counts, kappa
+treating the two masks as two raters labeling every voxel of the volume;
+boundary metrics (HD95, ASSD) from surface-to-surface distances computed
+through an exact anisotropic Euclidean distance transform.
 
 Conventions baked in here:
   * surfaces use 6-connectivity and the grid border counts as background;
@@ -48,9 +48,16 @@ class ConfusionCounts:
     fn: int
     tn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
+    def kappa(self) -> float:
+        """Cohen's kappa of the two masks as raters labeling every voxel."""
+        n = self.tp + self.fp + self.fn + self.tn
+        na, nb = self.tp + self.fp, self.tp + self.fn
+        # exact integer forms of n^2 * (p_o - p_e) and n^2 * (1 - p_e)
+        chance = na * nb + (n - na) * (n - nb)
+        den = n * n - chance
+        if den == 0:
+            raise UndefinedMetricError("kappa undefined: both raters constant and identical")
+        return ((self.tp + self.tn) * n - chance) / den
 
 
 @dataclass(frozen=True)
@@ -193,18 +200,10 @@ def boundary_metrics(pred: BinaryMask, gt: BinaryMask) -> tuple[float, float]:
 def cohen_kappa(a: BinaryMask, b: BinaryMask) -> float:
     """Chance-corrected voxelwise agreement between two raters' masks.
 
-    The universe is the full volume, background included.
+    The universe is the full volume, background included; kappa is a function
+    of the pair's confusion counts, ``confusion(a, b).kappa()``.
     """
-    c = confusion(a, b)
-    n = c.total
-    na, nb = c.tp + c.fp, c.tp + c.fn
-    agree = c.tp + c.tn  # voxels in both masks or in neither
-    # exact integer forms of n^2 * (p_o - p_e) and n^2 * (1 - p_e)
-    chance = na * nb + (n - na) * (n - nb)
-    den = n * n - chance
-    if den == 0:
-        raise UndefinedMetricError("kappa undefined: both raters constant and identical")
-    return (agree * n - chance) / den
+    return confusion(a, b).kappa()
 
 
 def evaluate_case(pred: BinaryMask, gt: BinaryMask) -> CaseMetrics:

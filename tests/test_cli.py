@@ -544,7 +544,7 @@ class TestEval:
         assert flag in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command,target", [("eval", "evaluate_case"), ("agree", "cohen_kappa")])
+    @pytest.mark.parametrize("command,target", [("eval", "evaluate_case"), ("agree", "confusion")])
     def test_worker_memory_error_fails_only_that_case(self, tmp_path, monkeypatch, capsys, command, target):
         import volkit.cli as cli
 
@@ -590,6 +590,25 @@ class TestAgree:
             row = next(csv.DictReader(f))
         assert float(row["kappa"]) == pytest.approx(0.6)
         assert float(row["dice"]) == pytest.approx(0.8, abs=1e-5)
+
+    def test_each_pair_is_counted_once(self, tmp_path, monkeypatch):
+        # Dice and kappa come from one confusion count per pair, wherever it is called from
+        import volkit.cli as cli
+        from volkit import segmetrics
+
+        real = segmetrics.confusion
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(cli, "confusion", counted)
+        monkeypatch.setattr(segmetrics, "confusion", counted)
+        a_dir, b_dir = two_case_dataset(tmp_path)
+        out = tmp_path / "out"
+        assert main(["agree", str(a_dir), str(b_dir), "--out", str(out), "--jobs", "1"]) == EXIT_OK
+        assert len(calls) == 2
 
     def test_complement_raters_kappa_near_minus_one(self, tmp_path):
         data = np.zeros((10, 10, 10), dtype=np.uint8)
@@ -959,6 +978,7 @@ class TestAttnCheck:
     @pytest.mark.parametrize("value,flag", [
         *((value, flag) for value in ("0", "-3") for flag in ("--n", "--d", "--trials")),
         ("4097", "--n"),  # above the n the unfactored comparison takes
+        ("-1", "--seed"),  # default_rng's own error names no flag
     ])
     def test_non_positive_size_is_usage_error(self, capsys, flag, value):
         # --trials 0 used to report every check as PASS after checking nothing
@@ -1008,11 +1028,14 @@ class TestAttnBench:
         ["--d", "0"],
         ["--n-list", "64,64"],
         ["--n-list", "64,128,64"],
+        ["--seed", "-1"],
     ])
     def test_bad_size_is_usage_error(self, tmp_path, capsys, args):
         out = tmp_path / "bench.csv"
         assert main(["attn-bench", "--n-list", "64", "--d", "8", *args, "--out", str(out)]) == EXIT_USAGE
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--seed" not in args or "seed" in err
         assert not out.exists()
 
     def test_out_of_memory_is_usage_error(self, tmp_path, capsys, monkeypatch):

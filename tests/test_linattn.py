@@ -390,6 +390,11 @@ class TestCheckProperties:
         with pytest.raises(ValueError, match="4096" if n > 4096 else "trials"):
             linattn.check_properties(n, d, seed=0, trials=trials)
 
+    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
+        with pytest.raises(ValueError, match="seed"):
+            linattn.check_properties(8, 4, seed=-1, trials=2)
+
     def test_n_cap_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
         with pytest.raises(_Drawn):
@@ -417,6 +422,11 @@ class TestBench:
         monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
         with pytest.raises(ValueError, match="unknown variants \\['cubic'\\]"):
             bench_attention([16], d=4, repeats=3, variants=("linear", "cubic"))
+
+    def test_negative_seed_rejected_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(linattn.np.random, "default_rng", _no_draw)
+        with pytest.raises(ValueError, match="seed"):
+            bench_attention([16], d=4, repeats=3, seed=-1)
 
     @pytest.mark.parametrize("n_list", [[64, 64], [16, 32, 16]])
     def test_repeated_n_rejected_before_drawing(self, monkeypatch, n_list):

@@ -43,7 +43,7 @@ class TestConfusion:
         c = confusion(m, m)
         assert c.fp == c.fn == 0
         assert c.tp == m.foreground_count()
-        assert c.total == 27
+        assert c.tp + c.fp + c.fn + c.tn == 27
 
     def test_both_empty(self):
         m = make_mask(np.zeros((2, 2, 2)))
