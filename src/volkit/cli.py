@@ -5,8 +5,9 @@ pairs found"), 4 verification/check failure, 5 dataset failure (at least one
 case could not be loaded or measured, up to every case).
 
 stderr carries progress and diagnostics; stdout stays silent unless a
-single-file output is requested with ``--out -``. CSV floats are printed
-with 6 significant digits; JSON keeps full precision.
+single-file output is requested with ``--out -``. Every CSV cell is written
+by one rule (``_fmt``): undefined is empty, a string or integer as it is, any
+other number with 6 significant digits. JSON keeps full precision.
 """
 
 from __future__ import annotations
@@ -76,9 +77,10 @@ _CELL_RANGES = {"dice": (0.0, 1.0, "a dice in [0, 1]"), "vpe": (-1.0, math.inf, 
 
 
 def _fmt(x) -> str:
+    """One CSV cell's text: None is empty, a ``str`` or ``int`` as it is, any other number ``.6g``."""
     if x is None:
         return ""
-    return f"{x:.6g}"
+    return str(x) if isinstance(x, (str, int)) else f"{x:.6g}"
 
 
 def _progress(msg: str):
@@ -135,9 +137,9 @@ def _csv_cell(text: str) -> str:
 
 
 def _csv(header, rows) -> str:
-    """CSV text that ``_eval_rows`` reads back: the header fields, then one
-    LF-ended line per row of already-formatted cells."""
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in [header, *rows])
+    """CSV text that ``_eval_rows`` reads back: the header, then one LF-ended
+    line per row, each cell written by ``_fmt``."""
+    return "".join(",".join(_csv_cell(_fmt(x)) for x in row) + "\n" for row in [header, *rows])
 
 
 def _dump_json(obj) -> str:
@@ -359,7 +361,7 @@ class _Dataset:
     """What a dataset command measures per case, and the files it writes.
 
     A case's result is a dataclass record. Its CSV row is the case id, then
-    ``_fmt`` of each field in order, under ``header``.
+    each field in order, written by ``_csv``, under ``header``.
     """
 
     measure: Callable  # (mask_a, mask_b) -> the case's record, in a worker
@@ -414,7 +416,7 @@ def cmd_dataset(args) -> int:
             failed.append(cid)
             _progress(f"error: case {cid}: {err}")
 
-    table = _csv(dataset.header, ([cid, *map(_fmt, vars(res).values())] for cid, res in results))
+    table = _csv(dataset.header, ([cid, *vars(res).values()] for cid, res in results))
     summary_text = None
     if results:
         summary = {"n_cases": len(results), **dataset.summary([res for _, res in results])}
@@ -448,8 +450,7 @@ def cmd_bounds(args) -> int:
         delta = (lo + step) - lo
         grid = (lo + i * delta for i in range(n_rows))
         rows = bound_curve([min(x, 1.0) for x in grid if x <= 1.0 + 1e-12])
-        keys = BOUND_CURVE_CSV_HEADER.split(",")
-        _write(args.out, _csv(keys, ([_fmt(r[key]) for key in keys] for r in rows)))
+        _write(args.out, _csv(BOUND_CURVE_CSV_HEADER.split(","), map(dict.values, rows)))
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
@@ -507,13 +508,14 @@ def cmd_attn_bench(args) -> int:
     except MemoryError as exc:
         raise _Exit(EXIT_USAGE, f"out of memory benchmarking n up to {max(n_list)} at d={args.d}; "
                                 "use smaller --n-list or --d") from exc
-    lines = [[str(r["n"]), str(r["d"]), r["variant"], _fmt(r["median_seconds"]), str(r["flops"])] for r in rows]
+    header = ("n", "d", "variant", "median_seconds", "flops")
+    lines = [[r[key] for key in header] for r in rows]
     for variant in ("quadratic", "linear"):
         sub = [r for r in rows if r["variant"] == variant]
         if len(sub) >= 2:
             slope = linattn.fit_loglog_slope([r["n"] for r in sub], [r["median_seconds"] for r in sub])
-            lines.append(["slope", str(args.d), variant, _fmt(slope), ""])
-    _write(args.out, _csv(("n", "d", "variant", "median_seconds", "flops"), lines))
+            lines.append(("slope", args.d, variant, slope, None))
+    _write(args.out, _csv(header, lines))
     return EXIT_OK
 
 
@@ -528,14 +530,7 @@ def cmd_volume(args) -> int:
     try:
         fit = linear_fit(gt, pred)
         mean_dice = fmean(dices)
-        result = {
-            "n": fit.n,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "r2": fit.r2,
-            "mean_abs_vpe": fmean(abs_vpes) if abs_vpes else None,
-            "mean_dice": mean_dice,
-        }
+        result = {**vars(fit), "mean_abs_vpe": fmean(abs_vpes) if abs_vpes else None, "mean_dice": mean_dice}
         if mean_dice > 0 and abs_vpes:
             bound = avpe_bound(mean_dice)
             result["avpe_bound"] = bound

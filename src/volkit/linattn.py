@@ -5,8 +5,8 @@ The linear kernel replaces the similarity with a separable form,
 ``softmax_rows(Q) @ (softmax_cols(K).T @ V)``, evaluated in the factored
 order, so its cost is linear in n. Beyond its inputs each kernel holds the
 n x d output and one row block of weights, the linear one also a transient
-n x d key softmax. Both kernels report a multiply-accumulate count so the
-cost model can be checked against the code that actually ran.
+n x d key softmax. Both kernels also return ``attention_cost`` at the call's
+shape: the closed-form multiply-accumulate count, not one taken as they ran.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import HOSTILE_KINDS, build_nifti1_bytes, hostile_nifti_bytes, make_mask, run_fresh, run_python
 from phantom import generate_phantom_dataset
-from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _fmt, main
+from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _csv, _fmt, main
 from volkit.volbounds import BOUND_CURVE_CSV_HEADER, bound_curve
 from volkit.volgrid import VolumeGrid, load_nifti, write_nifti
 
@@ -1019,6 +1019,9 @@ class TestAttnBench:
         for row in data_rows:
             n, d, variant, _, flops = row.split(",")
             assert int(flops) == attention_cost(int(n), int(d), variant)
+        for row in slope_rows:
+            _, d, _, _, flops = row.split(",")
+            assert (d, flops) == ("8", "")
 
     @pytest.mark.parametrize("args", [
         ["--n-list", "64,abc"],
@@ -1394,6 +1397,13 @@ EVAL_CSV = (
     "c1,0.8,0.666667,0.75,0.857143,2,0.7,12,10.5,0.142857\n"
 )
 
+
+class TestCsvCells:
+    def test_every_cell_passes_the_one_rule(self):
+        text = _csv(("id", "n", "flops", "x", "y"), [("a,b", 3, 2181038080, 0.1234567, None)])
+        assert text == 'id,n,flops,x,y\n"a,b",3,2181038080,0.123457,\n'
+
+
 # Each command's arguments before ``--out``: PRED, GT and CASES stand for the
 # mask directories and an eval CSV; a single-file output is named OUT/<file>.
 _OUTPUT_COMMANDS = {
@@ -1416,12 +1426,12 @@ class TestAtomicOutputs:
         return [names.get(a, a) for a in args] + ["--out", str(out if file_name is None else out / file_name)]
 
     @pytest.mark.parametrize("command,row_writer,fail_at", [
-        ("eval", "_fmt", 10),  # first cell of the second case row
-        ("agree", "_fmt", 3),  # first cell of the second case row
-        ("bounds-curve", "_fmt", 6),  # first cell of the second curve row
+        ("eval", "_fmt", 21),  # first cell of the second case row, after 10 header and 10 first-row cells
+        ("agree", "_fmt", 7),  # first cell of the second case row
+        ("bounds-curve", "_fmt", 11),  # first cell of the second curve row
         ("bounds-audit", "_dump_json", 1),
         ("volume", "_dump_json", 1),
-        ("attn-bench", "_fmt", 2),  # the second timing row
+        ("attn-bench", "_fmt", 14),  # the second timing row's median_seconds
     ])
     def test_failed_rewrite_keeps_previous_outputs(self, tmp_path, monkeypatch, command, row_writer, fail_at):
         import volkit.cli as cli
