@@ -16,8 +16,7 @@ from importlib import import_module
 # public name -> the module that defines it
 _EXPORTS = {
     **dict.fromkeys(
-        ("BinaryMask", "NiftiError", "VolumeGrid", "binarize", "load_nifti", "mask_volume_ml",
-         "write_nifti"),
+        ("BinaryMask", "NiftiError", "VolumeGrid", "binarize", "load_nifti", "write_nifti"),
         "volgrid",
     ),
     **dict.fromkeys(

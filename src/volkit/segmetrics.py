@@ -1,9 +1,11 @@
 """Region and boundary metrics for binary volumetric masks.
 
-Region metrics and Cohen's kappa come from voxelwise confusion counts, kappa
-treating the two masks as two raters labeling every voxel of the volume;
-boundary metrics (HD95, ASSD) from surface-to-surface distances computed
-through an exact anisotropic Euclidean distance transform.
+Every region number of a pair comes from its one voxelwise confusion count:
+Dice, Jaccard, precision, recall, Cohen's kappa (the two masks as two raters
+labeling every voxel of the volume) and both volumes, so ``eval`` and
+``agree`` each count a mask once. Boundary metrics (HD95, ASSD) come from
+surface-to-surface distances computed through an exact anisotropic Euclidean
+distance transform.
 
 Conventions baked in here:
   * surfaces use 6-connectivity and the grid border counts as background;
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import volbounds
-from .volgrid import BinaryMask, mask_volume_ml
+from .volgrid import BinaryMask
 
 _SPACING_RTOL = 1e-6
 
@@ -208,9 +210,12 @@ def cohen_kappa(a: BinaryMask, b: BinaryMask) -> float:
 
 def evaluate_case(pred: BinaryMask, gt: BinaryMask) -> CaseMetrics:
     """Full metric record for one prediction/ground-truth pair."""
-    rm = region_metrics(confusion(pred, gt))  # confusion checks the pair is compatible
-    pred_ml = mask_volume_ml(pred)
-    gt_ml = mask_volume_ml(gt)
+    counts = confusion(pred, gt)  # confusion checks the pair is compatible
+    rm = region_metrics(counts)
+    # volume in ml: foreground voxel count x voxel volume (mm^3) / 1000, each mask at its own spacing
+    (px, py, pz), (gx, gy, gz) = pred.spacing, gt.spacing
+    pred_ml = (counts.tp + counts.fp) * px * py * pz / 1000.0
+    gt_ml = (counts.tp + counts.fn) * gx * gy * gz / 1000.0
     try:
         hd95, assd = boundary_metrics(pred, gt)
     except UndefinedMetricError:  # an empty mask has no surface

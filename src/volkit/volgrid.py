@@ -207,7 +207,7 @@ def write_nifti(grid: VolumeGrid, path) -> None:
     struct.pack_into("<2f", header, 112, 1.0, 0.0)  # scl_slope, scl_inter
     header[344:348] = b"n+1\x00"
 
-    payload = np.asfortranarray(grid.data).astype("<" + dtype.str[1:]).tobytes(order="F")
+    payload = grid.data.astype("<" + dtype.str[1:], copy=False).tobytes(order="F")
     with open(path, "wb") as f:
         f.write(bytes(header))
         f.write(b"\x00" * (_VOX_OFFSET - _HEADER_SIZE))  # no extensions
@@ -228,9 +228,3 @@ def binarize(grid: VolumeGrid, threshold: float) -> BinaryMask:
     # (a Python float would be cast to float32 against float32 data).
     data = np.greater(grid.data, np.float64(threshold)).view(np.uint8)
     return BinaryMask(data, grid.spacing)
-
-
-def mask_volume_ml(mask: BinaryMask) -> float:
-    """Foreground volume in milliliters (voxel count x voxel volume / 1000)."""
-    sx, sy, sz = mask.spacing
-    return mask.foreground_count() * sx * sy * sz / 1000.0

@@ -7,7 +7,7 @@ from conftest import run_fresh
 
 # Every public name of ``volkit``, with the module that defines it.
 PUBLIC = {
-    "volgrid": "BinaryMask NiftiError VolumeGrid binarize load_nifti mask_volume_ml write_nifti",
+    "volgrid": "BinaryMask NiftiError VolumeGrid binarize load_nifti write_nifti",
     "segmetrics": "CaseMetrics ConfusionCounts UndefinedMetricError boundary_metrics cohen_kappa "
                   "confusion edt evaluate_case extract_surface region_metrics",
     "volbounds": "VpeBounds avpe_bound bound_curve verify_bounds_exhaustive vpe vpe_bounds_from_dice",

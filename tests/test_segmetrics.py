@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_mask, random_mask, random_nonempty_mask
-from oracles import brute_boundary_metrics, brute_edt, brute_surface
+from oracles import brute_boundary_metrics, brute_edt, brute_surface, kdtree_boundary_metrics
 from volkit.segmetrics import (
     CaseMetrics,
     ConfusionCounts,
@@ -220,6 +220,18 @@ class TestBoundaryMetrics:
             got = boundary_metrics(pred, gt)
             want = brute_boundary_metrics(pred.data, gt.data, spacing)
             np.testing.assert_allclose(got, want, atol=1e-9)
+
+    def test_matches_kdtree_oracle_at_48_cubed(self):
+        # 48^3 voxels and thousands of surface voxels a side: beyond the scalar-loop oracle's reach
+        dims, spacing = (48, 48, 48), (0.7, 0.7, 2.5)
+        grid = np.indices(dims, dtype=np.float64)
+        rng = np.random.default_rng(48)
+        for _ in range(3):
+            centre, radii = rng.uniform(20, 28, size=3), rng.uniform(10, 18, size=3)
+            gt = sum(((g - c) / r) ** 2 for g, c, r in zip(grid, centre, radii)) <= 1
+            pred = np.roll(gt, tuple(rng.integers(-3, 4, size=3)), axis=(0, 1, 2)) ^ (rng.random(dims) < 0.002)
+            got = boundary_metrics(make_mask(pred, spacing), make_mask(gt, spacing))
+            np.testing.assert_allclose(got, kdtree_boundary_metrics(pred, gt, spacing), rtol=0, atol=1e-9)
 
 
 def field_path_pooled(pred, gt):
@@ -452,6 +464,49 @@ class TestEvaluateCase:
         assert cm.vpe == pytest.approx(-1.0)
         cm2 = evaluate_case(full, empty)
         assert cm2.vpe is None
+
+    def test_each_mask_is_counted_once(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        pred, gt = (make_mask(rng.random((20, 18, 12)) < 0.3) for _ in range(2))
+        count_nonzero, full_grid_counts = np.count_nonzero, []
+
+        def counting(a, *args, **kwargs):
+            if np.size(a) == pred.data.size:
+                full_grid_counts.append(np.shape(a))
+            return count_nonzero(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "count_nonzero", counting)
+        evaluate_case(pred, gt)
+        # the two masks and their intersection: every region number and both volumes read these
+        assert len(full_grid_counts) == 3
+
+
+class TestCaseVolume:
+    """Each volume is its own mask's foreground voxel count x voxel volume, in ml."""
+
+    def test_empty(self):
+        empty, full = make_mask(np.zeros((3, 3, 3))), make_mask(np.ones((3, 3, 3)))
+        assert evaluate_case(empty, full).pred_volume_ml == 0.0
+        assert evaluate_case(full, empty).gt_volume_ml == 0.0
+
+    def test_unit_conversion(self):
+        m = make_mask(np.ones((10, 10, 10)))
+        assert evaluate_case(m, make_mask(np.zeros((10, 10, 10)))).pred_volume_ml == pytest.approx(1.0)
+
+    def test_anisotropic(self):
+        spacing = (2.0, 2.0, 2.5)
+        m = make_mask(np.ones((2, 2, 2)), spacing)  # 8 voxels
+        assert evaluate_case(make_mask(np.zeros((2, 2, 2)), spacing), m).gt_volume_ml == pytest.approx(0.08)
+
+    def test_additive_and_scaling(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 2, size=(4, 4, 4))
+        b = rng.integers(0, 2, size=(4, 4, 4)) & ~a
+        union_vs_a = evaluate_case(make_mask(a | b), make_mask(a))
+        b_vs_a = evaluate_case(make_mask(b), make_mask(a))
+        assert union_vs_a.pred_volume_ml == pytest.approx(union_vs_a.gt_volume_ml + b_vs_a.pred_volume_ml)
+        stretched = evaluate_case(make_mask(a, spacing=(2, 1, 1)), make_mask(b, spacing=(2, 1, 1)))
+        assert stretched.pred_volume_ml == pytest.approx(2 * union_vs_a.gt_volume_ml)
 
 
 class TestMetricProperties:

@@ -16,7 +16,6 @@ from volkit.volgrid import (
     binarize,
     is_binary,
     load_nifti,
-    mask_volume_ml,
     write_nifti,
 )
 
@@ -117,6 +116,19 @@ class TestNiftiRoundTrip:
         path = tmp_path / "one.nii"
         write_nifti(g, path)
         assert path.stat().st_size == 352 + 4
+
+    def test_write_holds_one_payload_copy(self, tmp_path):
+        # a C-ordered grid: tobytes(order="F") lays it out x-fastest with no Fortran copy first
+        g = VolumeGrid(data=np.arange(128 * 128 * 72, dtype=np.uint8).reshape(128, 128, 72), spacing=(1, 1, 1))
+        path = tmp_path / "big.nii"
+        tracemalloc.start()
+        try:
+            write_nifti(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * g.data.nbytes
+        assert load_nifti(path) == g
 
     def test_uint8_header_constants(self, tmp_path):
         g = VolumeGrid(data=np.ones((2, 2, 2), dtype=np.uint8), spacing=(1, 1, 1))
@@ -517,28 +529,3 @@ class TestIsBinary:
             tracemalloc.stop()
         # one bool per voxel, not the two (or three) that ``(a == 0) | (a == 1)`` holds
         assert peak <= 1.25 * data.size
-
-
-class TestMaskVolume:
-    def test_empty(self):
-        assert mask_volume_ml(make_mask(np.zeros((3, 3, 3)))) == 0.0
-
-    def test_unit_conversion(self):
-        m = make_mask(np.ones((10, 10, 10)))
-        assert mask_volume_ml(m) == pytest.approx(1.0)
-
-    def test_anisotropic(self):
-        data = np.zeros((2, 2, 2))
-        data[:, :, :] = 1  # 8 voxels
-        m = make_mask(data, spacing=(2.0, 2.0, 2.5))
-        assert mask_volume_ml(m) == pytest.approx(0.08)
-
-    def test_additive_and_scaling(self):
-        rng = np.random.default_rng(5)
-        a = rng.integers(0, 2, size=(4, 4, 4))
-        b = rng.integers(0, 2, size=(4, 4, 4)) & ~a
-        total = mask_volume_ml(make_mask(a | b))
-        assert total == pytest.approx(mask_volume_ml(make_mask(a)) + mask_volume_ml(make_mask(b)))
-        assert mask_volume_ml(make_mask(a, spacing=(2, 1, 1))) == pytest.approx(
-            2 * mask_volume_ml(make_mask(a))
-        )
