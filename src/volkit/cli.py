@@ -23,15 +23,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .cohortstats import linear_fit, summarize_fields
+from .cohortstats import cohort_report, linear_fit, summarize_fields
 from .volbounds import BOUND_CURVE_CSV_HEADER, VpeBounds, avpe_bound, bound_curve, vpe_bounds_from_dice
 
-# The array-layer names this module uses, bound from the package's lazy exports
-# on first use (``_bind_array_layers``) so that importing the CLI, and running
-# ``bounds --audit`` or ``volume``, never loads numpy. No command calls
-# ``cohen_kappa``; it stays because perfbench/tracing.py patches ``cli.cohen_kappa``.
+# Names from modules that import numpy (volgrid, segmetrics) bind lazily from the package's
+# exports on first use (``_bind_array_layers``), so importing the CLI, or running ``bounds
+# --audit`` or ``volume``, never loads numpy; the bounds and cohort layers are plain imports.
+# No command calls ``cohen_kappa``; it stays because perfbench/tracing.py patches ``cli.cohen_kappa``.
 _ARRAY_NAMES = (
-    "BinaryMask", "UndefinedMetricError", "binarize", "cohen_kappa", "cohort_report",
+    "BinaryMask", "UndefinedMetricError", "binarize", "cohen_kappa",
     "confusion", "evaluate_case", "load_nifti", "region_metrics",
 )
 

@@ -108,22 +108,28 @@ def kdtree_boundary_metrics(pred_data, gt_data, spacing):
     Reaches grids far beyond the pairwise scan's memory: each query costs
     O(log S) rather than O(S) distances.
     """
-    pred_pts, gt_pts = (_face_surface_mm(d, spacing) for d in (pred_data, gt_data))
+    sp = np.asarray(spacing, dtype=np.float64)
+    pred_pts, gt_pts = (np.argwhere(face_surface(d)) * sp for d in (pred_data, gt_data))
     return _hd95_and_mean(np.concatenate([cKDTree(gt_pts).query(pred_pts)[0],
                                           cKDTree(pred_pts).query(gt_pts)[0]]))
 
 
-def _face_surface_mm(mask_data, spacing):
-    """Surface voxels in mm: foreground with a background face neighbour, where
-    the grid border counts as background; found by comparing each voxel of a
-    zero-padded copy with its six shifted neighbours."""
-    fg = np.pad(np.asarray(mask_data, dtype=bool), 1)
-    inside = (slice(1, -1),) * 3
-    exposed = np.zeros(np.shape(mask_data), dtype=bool)
+def face_surface(mask_data):
+    """The 6-connectivity surface over the whole grid, without a bounding box:
+    foreground voxels with a background face neighbour, where the grid border
+    counts as background, found by comparing each voxel of a zero-padded copy
+    with its six shifted neighbours. A bool grid in ``mask_data``'s memory layout.
+    """
+    fg = mask_data.astype(bool)
+    padded = np.pad(fg, 1, constant_values=False)
+    interior = np.ones_like(fg)
     for axis in range(3):
-        for step in (-1, 1):
-            exposed |= ~np.roll(fg, step, axis=axis)[inside]
-    return np.argwhere(fg[inside] & exposed) * np.asarray(spacing, dtype=np.float64)
+        lo = [slice(1, -1)] * 3
+        hi = [slice(1, -1)] * 3
+        lo[axis] = slice(0, -2)
+        hi[axis] = slice(2, None)
+        interior &= padded[tuple(lo)] & padded[tuple(hi)]
+    return fg & ~interior
 
 
 def _hd95_and_mean(pooled):

@@ -44,6 +44,17 @@ def two_case_dataset(tmp_path):
     return pred_dir, gt_dir
 
 
+def three_case_dataset(tmp_path):
+    """Cases a, b and c; b's prediction has one false-positive voxel."""
+    mask = np.zeros((4, 3, 2), dtype=np.uint8)
+    mask[1:3, 1, :] = 1
+    other = mask.copy()
+    other[0, 0, 0] = 1
+    for case in "abc":
+        pred_dir, gt_dir = write_mask_pair(tmp_path, f"{case}.nii", other if case == "b" else mask, mask)
+    return pred_dir, gt_dir
+
+
 def run_cli(*argv, **kwargs):
     """``python -m volkit.cli ARGV`` in a new interpreter: the path perfbench times."""
     return run_python("-m", "volkit.cli", *argv, **kwargs)
@@ -504,12 +515,7 @@ class TestEval:
 
         import volkit.cli as cli
 
-        mask = np.zeros((4, 3, 2), dtype=np.uint8)
-        mask[1:3, 1, :] = 1
-        other = mask.copy()
-        other[0, 0, 0] = 1
-        for case in "abc":
-            pred_dir, gt_dir = write_mask_pair(tmp_path, f"{case}.nii", other if case == "b" else mask, mask)
+        pred_dir, gt_dir = three_case_dataset(tmp_path)
         serial = tmp_path / "serial"
         assert main([command, str(pred_dir), str(gt_dir), "--out", str(serial), "--jobs", "1"]) == EXIT_OK
         want = [row for row in (serial / csv_name).read_text().splitlines() if row.split(",")[0] not in victims]
@@ -531,6 +537,29 @@ class TestEval:
         assert (out / csv_name).read_text().splitlines() == want
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_cases"] == victims and summary["n_cases"] == 3 - len(victims)
+
+    @pytest.mark.parametrize("command,csv_name", [("eval", "cases.csv"), ("agree", "agreement.csv")])
+    @pytest.mark.parametrize("victim", ["a", "c"], ids=["first-case", "last-case"])
+    def test_a_worker_killed_once_gets_a_second_run(self, tmp_path, monkeypatch, capsys, command, csv_name, victim):
+        import signal
+
+        import volkit.cli as cli
+
+        pred_dir, gt_dir = three_case_dataset(tmp_path)
+        serial, out, killed = tmp_path / "serial", tmp_path / "out", tmp_path / "killed"
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(serial), "--jobs", "1"]) == EXIT_OK
+        real, parent = cli._load_mask, os.getpid()
+
+        def load(path, threshold):
+            if Path(path).stem == victim and os.getpid() != parent and not killed.exists():
+                killed.touch()  # before the kill, so that the case's second run finds it
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(path, threshold)
+
+        monkeypatch.setattr(cli, "_load_mask", load)
+        assert main([command, str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", "2"]) == EXIT_OK
+        assert killed.exists() and "worker process died" not in capsys.readouterr().err
+        assert (out / csv_name).read_bytes() == (serial / csv_name).read_bytes()
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("flag,value", [

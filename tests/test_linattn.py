@@ -400,6 +400,21 @@ class TestCheckProperties:
         with pytest.raises(_Drawn):
             linattn.check_properties(4096, 1, seed=0, trials=1)
 
+    def test_each_instance_is_run_once(self, monkeypatch):
+        runs = []  # keeps every argument alive, so no freed instance's id is reused
+
+        def recording(t):
+            runs.append(t)
+            return linear_attention(t)
+
+        monkeypatch.setattr(linattn, "linear_attention", recording)
+        linattn.check_properties(64, 16, seed=3, trials=1)
+        rng = np.random.default_rng(3)
+        nn, dd = int(rng.integers(1, 65)), int(rng.integers(1, 17))
+        # the drawn instance, its permutation, and a +/- step pair per entry of the 3 sub-instance matrices
+        assert runs[0].q.shape == (nn, dd) and len(runs) == 2 + 3 * 2 * min(nn, 8) * min(dd, 4)
+        assert len({id(t) for t in runs}) == len(runs)
+
 
 class TestBench:
     def test_rows_and_flops_column(self):
@@ -496,3 +511,16 @@ class TestBench:
         bench_attention([8, 16], d=4, repeats=3, variants=("linear",))
         assert seen == [[1] * len(apis)] * 6
         assert [get() for get, _ in apis] == before
+
+    @pytest.mark.parametrize("missing", ["maps", "library"])
+    def test_no_openblas_found_leaves_the_bench_running(self, monkeypatch, missing):
+        def fail(path, *args, **kwargs):
+            raise OSError(f"cannot open {path}")
+
+        if missing == "maps":  # no /proc/self/maps, e.g. not Linux
+            monkeypatch.setattr(linattn, "open", fail, raising=False)
+        else:  # an OpenBLAS in the maps that ctypes cannot load
+            monkeypatch.setattr(linattn.ctypes, "CDLL", fail)
+        assert linattn._openblas_thread_apis() == []
+        rows = [(r["n"], r["variant"]) for r in bench_attention([8, 16], 4, 3)]
+        assert rows == [(8, "quadratic"), (8, "linear"), (16, "quadratic"), (16, "linear")]

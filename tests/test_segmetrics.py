@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_mask, random_mask, random_nonempty_mask
-from oracles import brute_boundary_metrics, brute_edt, brute_surface, kdtree_boundary_metrics
+from oracles import brute_boundary_metrics, brute_edt, brute_surface, face_surface, kdtree_boundary_metrics
 from volkit.segmetrics import (
     CaseMetrics,
     ConfusionCounts,
@@ -278,20 +278,6 @@ class TestPooledSurfaceDistances:
         assert got.tobytes() == want.tobytes()
 
 
-def full_grid_surface(mask):
-    """The 6-connectivity surface computed over the whole grid, without a bounding box."""
-    fg = mask.data.astype(bool)
-    padded = np.pad(fg, 1, constant_values=False)
-    interior = np.ones_like(fg)
-    for axis in range(3):
-        lo = [slice(1, -1)] * 3
-        hi = [slice(1, -1)] * 3
-        lo[axis] = slice(0, -2)
-        hi[axis] = slice(2, None)
-        interior &= padded[tuple(lo)] & padded[tuple(hi)]
-    return fg & ~interior
-
-
 @st.composite
 def laid_out_mask_pairs(draw):
     pred, gt = draw(anisotropic_mask_pairs())
@@ -306,14 +292,14 @@ class TestBoundingBoxSurface:
     def test_same_surface_indices_and_distances_as_full_grid(self, pair):
         pred, gt = pair
         for mask in pair:
-            want = full_grid_surface(mask)
+            want = face_surface(mask.data)
             field_in, idx = _surface(mask)
             assert field_in.dtype == bool and np.array_equal(field_in, ~want)
             assert field_in.flags.f_contiguous == want.flags.f_contiguous
             assert field_in.flags.c_contiguous == want.flags.c_contiguous
             for got_axis, want_axis in zip(idx, np.nonzero(want)):
                 assert np.array_equal(got_axis, want_axis)
-        ps, gs = full_grid_surface(pred), full_grid_surface(gt)
+        ps, gs = face_surface(pred.data), face_surface(gt.data)
         want = np.concatenate([
             _distances_at(~gs, gt.spacing, np.nonzero(ps)),
             _distances_at(~ps, pred.spacing, np.nonzero(gs)),
