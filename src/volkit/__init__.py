@@ -6,9 +6,10 @@ bounds (:mod:`volkit.volbounds`), cohort statistics
 (:mod:`volkit.cohortstats`), the linear-attention kernel
 (:mod:`volkit.linattn`), and the batch CLI (:mod:`volkit.cli`).
 
-The public names below are imported from their modules on first access, so
-that importing :mod:`volkit.cli` (which imports this package first) does not
-load numpy.
+The public names below, listed with what reaches each one in the README's
+"Public API" table, are imported from their modules on first access, so that
+importing :mod:`volkit.cli` (which imports this package first) does not load
+numpy.
 """
 
 from importlib import import_module
@@ -21,7 +22,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("CaseMetrics", "ConfusionCounts", "UndefinedMetricError", "boundary_metrics",
-         "cohen_kappa", "confusion", "edt", "evaluate_case", "extract_surface", "region_metrics"),
+         "cohen_kappa", "confusion", "edt", "evaluate_case", "region_metrics"),
         "segmetrics",
     ),
     **dict.fromkeys(
@@ -36,8 +37,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("AttentionGradients", "AttentionOutput", "AttentionTensors", "attention_cost",
-         "bench_attention", "linear_attention", "linear_attention_backward", "quadratic_attention",
-         "softmax_cols", "softmax_rows"),
+         "bench_attention", "linear_attention", "linear_attention_backward", "quadratic_attention"),
         "linattn",
     ),
 }

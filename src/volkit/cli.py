@@ -536,7 +536,7 @@ def cmd_volume(args) -> int:
             result["avpe_bound"] = bound
             result["avpe_bound_satisfied"] = VpeBounds(-1.0, bound).admits(result["mean_abs_vpe"], _CSV_RTOL)
         text = _dump_json(result)  # squares of finite cells can overflow to inf, then NaN
-    except (ValueError, OverflowError) as exc:  # fsum overflows on sums beyond 1.8e308
+    except (ValueError, ArithmeticError) as exc:  # an fsum overflow; an underflow to 0 in r2
         raise _Exit(EXIT_IO, str(exc)) from exc
     _write(args.out, text)
     return EXIT_OK

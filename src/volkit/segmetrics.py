@@ -148,11 +148,6 @@ def _surface(mask: BinaryMask) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
     return field_in, tuple(i + b.start for i, b in zip(np.nonzero(inner), box))
 
 
-def extract_surface(mask: BinaryMask) -> np.ndarray:
-    """Integer (x, y, z) coordinates of the mask's 6-connectivity surface."""
-    return np.transpose(_surface(mask)[1])  # np.argwhere's own definition
-
-
 def edt(mask: BinaryMask) -> np.ndarray:
     """Exact anisotropic distance (mm) from every voxel to the mask surface.
 

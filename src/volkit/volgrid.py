@@ -120,13 +120,13 @@ def _read_bytes(path) -> bytes:
 def load_nifti(path) -> VolumeGrid:
     """Read a single-file NIfTI-1 volume (.nii or .nii.gz).
 
-    Accepts 3D images and 4D images with a singleton 4th dimension; both
-    endiannesses are handled (detected via dim[0]). pixdim 1-3 are converted
-    to mm from xyzt_units' spatial unit; a code outside 0-3 is a NiftiError.
-    scl_slope/scl_inter are applied when they describe a non-identity affine
-    rescale, promoting the data to float64. A non-finite scl_slope or
-    scl_inter reads as 0, as in the NIfTI-1 reference reader (nifti1_io.c); a
-    slope of 0 means no scaling.
+    Accepts 3D images and 4D images with a singleton (``dim[4] = 1``) 4th
+    dimension; both endiannesses are handled (detected via dim[0]). pixdim 1-3
+    are converted to mm from xyzt_units' spatial unit; a code outside 0-3 is a
+    NiftiError. scl_slope/scl_inter are applied when they describe a
+    non-identity affine rescale, promoting the data to float64. A non-finite
+    scl_slope or scl_inter reads as 0, as in the NIfTI-1 reference reader
+    (nifti1_io.c); a slope of 0 means no scaling.
     """
     raw = _read_bytes(path)
     if len(raw) < _HEADER_SIZE:
@@ -149,7 +149,7 @@ def load_nifti(path) -> VolumeGrid:
 
     if dim[0] not in (3, 4):
         raise NiftiError(f"dim[0]={dim[0]}; only 3D (or squeezable 4D) images supported")
-    if dim[0] == 4 and dim[4] > 1:
+    if dim[0] == 4 and dim[4] != 1:
         raise NiftiError(f"4D image with dim[4]={dim[4]}; only singleton 4th dimension supported")
     nx, ny, nz = int(dim[1]), int(dim[2]), int(dim[3])
     if min(nx, ny, nz) < 1:

@@ -14,7 +14,8 @@ import pytest
 
 from conftest import HOSTILE_KINDS, build_nifti1_bytes, hostile_nifti_bytes, make_mask, run_fresh, run_python
 from phantom import generate_phantom_dataset
-from volkit.cli import EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _csv, _fmt, main
+from volkit.cli import (EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _DATASETS, _csv,
+                        _eval_one, _fmt, main)
 from volkit.volbounds import BOUND_CURVE_CSV_HEADER, bound_curve
 from volkit.volgrid import VolumeGrid, load_nifti, write_nifti
 
@@ -1202,17 +1203,16 @@ class TestVolume:
         assert not out.exists()
 
     def test_values_beyond_float_range_are_io_error(self, tmp_path, capsys):
-        # finite cells whose squared deviations overflow to inf: no NaN may reach volume.json
+        # finite cells whose squared deviations overflow to inf (no NaN may reach volume.json),
+        # or are so small that the product of their sums underflows to 0
         path = tmp_path / "cases.csv"
-        path.write_text(
-            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            "c0,0.9,,,,,,1e200,-1e200,0\n"
-            "c1,0.9,,,,,,-1e200,1e200,0\n"
-        )
         out = tmp_path / "vol.json"
-        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
-        assert "Traceback" not in capsys.readouterr().err
-        assert not out.exists()
+        for rows in ("c0,0.9,,,,,,1e200,-1e200,0\nc1,0.9,,,,,,-1e200,1e200,0\n",
+                     "c0,0.9,,,,,,1e-160,1e-160,0\nc1,0.9,,,,,,3e-160,2e-160,0.5\n"):
+            path.write_text("case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n" + rows)
+            assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
+            assert re.search(r"^error: \S", capsys.readouterr().err, re.M)
+            assert not out.exists()
 
     def test_csv_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "cases.csv"
@@ -1511,3 +1511,80 @@ class TestDeterminism:
         assert main(["eval", *base, "--out", str(out2)]) == EXIT_OK
         assert (out1 / "cases.csv").read_bytes() == (out2 / "cases.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+class TestHostileInputsProperty:
+    """Fixed-seed mutations of valid inputs: every outcome is a defined one, never an escape."""
+
+    def test_mutated_nifti_is_scored_or_fails_with_a_message(self, tmp_path):
+        rng = np.random.default_rng(14)
+        data = np.zeros((8, 8, 8), dtype=np.uint8)
+        data[2:6, 3:7, 1:5] = 1
+        valid = build_nifti1_bytes(data, (0.8, 0.8, 1.5))
+        partner, path = tmp_path / "partner.nii", tmp_path / "mutant.nii"
+        partner.write_bytes(valid)
+        outcomes = {"scored": 0, "failed": 0}
+        for i in range(1000):
+            raw = bytearray(valid)
+            if i % 3 == 2:  # truncation
+                del raw[int(rng.integers(0, len(raw))):]
+            else:  # 1-4 byte flips, in the header (352 bytes with the pad) or in the payload
+                lo, hi = (0, 352) if i % 3 == 0 else (352, len(raw))
+                for at in rng.integers(lo, hi, size=int(rng.integers(1, 5))):
+                    raw[at] ^= int(rng.integers(1, 256))
+            if rng.random() < 0.3:  # gzip-wrapped, half of those cut off
+                raw = gzip.compress(bytes(raw), mtime=0)
+                if rng.random() < 0.5:
+                    raw = raw[: int(rng.integers(0, len(raw)))]
+            path.write_bytes(raw)
+            pair = (path, partner) if i % 2 else (partner, path)
+            for command in ("eval", "agree"):
+                task = (_DATASETS[command].measure, "c", str(pair[0]), str(pair[1]), 0.5)
+                case_id, result, error = _eval_one(task)
+                assert case_id == "c" and (result is None) != (error is None), (i, command)
+                if error is None:
+                    outcomes["scored"] += 1
+                else:
+                    assert re.fullmatch(r"\w+: \S.*", error, re.S), (i, command, error)
+                    outcomes["failed"] += 1
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_mutated_eval_csv_exits_0_3_or_4_with_an_error_line(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        tokens = ["", "nan", "inf", "-inf", "1e400", "-1e400", "abc", "1e308", "-2", "2", "0", "-0",
+                  " 0.5", "0x10", "1_0", "\u0661", "\x00", '"', '""', "1,5", "\r", "\n", "\ufeff"]
+        inserts = ['"', ",", "\r", "\n", "\x00", "\ufeff", "\u00e9"]
+        encodings = ["utf-8"] * 6 + ["utf-8-sig", "utf-16", "utf-16-le", "latin-1", "cp1252"]
+        path = tmp_path / "cases.csv"
+        codes = set()
+        for i in range(500):
+            text = EVAL_CSV
+            for _ in range(int(rng.integers(1, 4))):
+                op = int(rng.integers(0, 4))
+                if op == 0:  # one cell, the header's included, replaced by a hostile token
+                    lines = text.split("\n")
+                    row = int(rng.integers(0, len(lines)))
+                    cells = lines[row].split(",")
+                    cells[int(rng.integers(0, len(cells)))] = tokens[int(rng.integers(0, len(tokens)))]
+                    lines[row] = ",".join(cells)
+                    text = "\n".join(lines)
+                elif op == 1:  # a quote, separator, line break, NUL, BOM or non-ASCII letter inserted
+                    at = int(rng.integers(0, len(text) + 1))
+                    text = text[:at] + inserts[int(rng.integers(0, len(inserts)))] + text[at:]
+                elif op == 2 and text:  # a character deleted
+                    at = int(rng.integers(0, len(text)))
+                    text = text[:at] + text[at + 1:]
+                else:  # CRLF or bare CR line ends
+                    text = text.replace("\n", ["\r\n", "\r"][int(rng.integers(0, 2))])
+            raw = text.encode(encodings[int(rng.integers(0, len(encodings)))], errors="replace")
+            if rng.random() < 0.2:  # cut off, possibly inside a multi-byte character
+                raw = raw[: int(rng.integers(0, len(raw) + 1))]
+            path.write_bytes(raw)
+            for argv in (["bounds", "--audit", str(path)], ["volume", str(path)]):
+                code = main(argv)
+                err = capsys.readouterr().err
+                assert code in (EXIT_OK, EXIT_IO, EXIT_CHECK), (i, argv[0], code, raw)
+                if code != EXIT_OK:
+                    assert re.search(r"^error: \S", err, re.M), (i, argv[0], err, raw)
+                codes.add(code)
+        assert codes == {EXIT_OK, EXIT_IO, EXIT_CHECK}

@@ -1,23 +1,21 @@
+import re
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
 import volkit
 from conftest import run_fresh
 
-# Every public name of ``volkit``, with the module that defines it.
-PUBLIC = {
-    "volgrid": "BinaryMask NiftiError VolumeGrid binarize load_nifti write_nifti",
-    "segmetrics": "CaseMetrics ConfusionCounts UndefinedMetricError boundary_metrics cohen_kappa "
-                  "confusion edt evaluate_case extract_surface region_metrics",
-    "volbounds": "VpeBounds avpe_bound bound_curve verify_bounds_exhaustive vpe vpe_bounds_from_dice",
-    "cohortstats": "MetricSummary RegressionFit TTestResult cohort_report linear_fit "
-                   "paired_t_test summarize",
-    "linattn": "AttentionGradients AttentionOutput AttentionTensors attention_cost bench_attention "
-               "linear_attention linear_attention_backward quadratic_attention softmax_cols "
-               "softmax_rows",
-}
-EXPORTS = {name: module for module, names in PUBLIC.items() for name in names.split()}
+# The README's "Public API" table is the one written list of public names: (name, module) per row.
+README = Path(__file__).resolve().parent.parent / "README.md"
+ROWS = re.findall(r"^\| `(\w+)` \| `(\w+)` \|", README.read_text(encoding="utf-8"), re.M)
+EXPORTS = dict(ROWS)
+
+
+def test_readme_table_is_the_export_table():
+    assert ROWS == list(volkit._EXPORTS.items())
+    assert volkit.__all__ == list(volkit._EXPORTS)
 
 
 def test_every_public_name_resolves_to_its_definition():
@@ -30,7 +28,6 @@ def test_star_import_gives_every_public_name():
     namespace = {}
     exec("from volkit import *", namespace)
     assert set(EXPORTS) <= set(namespace)
-    assert set(volkit.__all__) == set(EXPORTS)
     for name, module in EXPORTS.items():
         assert namespace[name] is getattr(import_module(f"volkit.{module}"), name), name
 

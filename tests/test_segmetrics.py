@@ -17,7 +17,6 @@ from volkit.segmetrics import (
     confusion,
     edt,
     evaluate_case,
-    extract_surface,
     region_metrics,
 )
 from volkit.segmetrics import _check_compatible, _distances_at, _pooled_surface_distances, _surface
@@ -128,25 +127,24 @@ class TestRegionMetrics:
 
 
 class TestSurface:
+    """The surface is the zero set of ``edt``: a voxel is on it exactly when its distance is 0."""
+
     def test_single_voxel(self):
         data = np.zeros((3, 3, 3))
         data[1, 1, 1] = 1
-        surf = extract_surface(make_mask(data))
-        np.testing.assert_array_equal(surf, [[1, 1, 1]])
+        np.testing.assert_array_equal(np.argwhere(edt(make_mask(data)) == 0), [[1, 1, 1]])
 
     def test_solid_cube_shell(self):
         data = np.zeros((5, 5, 5))
         data[1:4, 1:4, 1:4] = 1
-        surf = extract_surface(make_mask(data))
-        assert len(surf) == 26  # all but the center voxel
+        assert np.count_nonzero(edt(make_mask(data)) == 0) == 26  # all but the center voxel
 
     def test_full_grid_border(self):
-        surf = extract_surface(make_mask(np.ones((3, 3, 3))))
-        assert len(surf) == 26
+        assert np.count_nonzero(edt(make_mask(np.ones((3, 3, 3)))) == 0) == 26
 
     def test_empty_errors(self):
         with pytest.raises(UndefinedMetricError):
-            extract_surface(make_mask(np.zeros((2, 2, 2))))
+            edt(make_mask(np.zeros((2, 2, 2))))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -155,9 +153,7 @@ class TestSurface:
             for _ in range(20):
                 m = random_nonempty_mask(rng, tuple(rng.integers(1, 7, size=3)))
                 m = BinaryMask(stored(m.data), m.spacing)
-                got = {tuple(c) for c in extract_surface(m)}
-                want = {tuple(c) for c in brute_surface(m.data)}
-                assert got == want
+                np.testing.assert_array_equal(np.argwhere(edt(m) == 0), brute_surface(m.data))
 
 
 class TestEdt:
@@ -166,7 +162,7 @@ class TestEdt:
         data[1:3, 1:3, 1:3] = 1
         m = make_mask(data)
         field = edt(m)
-        for x, y, z in extract_surface(m):
+        for x, y, z in brute_surface(m.data):
             assert field[x, y, z] == 0.0
 
     def test_anisotropic_hand_value(self):

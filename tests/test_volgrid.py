@@ -280,14 +280,15 @@ class TestNiftiErrors:
         with pytest.raises(NiftiError, match="datatype"):
             load_nifti(path)
 
-    def test_nonsingleton_4d_rejected(self, tmp_path):
+    @pytest.mark.parametrize("dim4", [5, 0, -1])  # NIfTI-1 needs dim[1..dim[0]] positive
+    def test_nonsingleton_4d_rejected(self, tmp_path, dim4):
         raw = bytearray(build_nifti1_bytes(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1)))
         import struct
 
-        struct.pack_into("<8h", raw, 40, 4, 2, 2, 2, 5, 1, 1, 1)
+        struct.pack_into("<8h", raw, 40, 4, 2, 2, 2, dim4, 1, 1, 1)
         path = tmp_path / "4d.nii"
         path.write_bytes(bytes(raw))
-        with pytest.raises(NiftiError, match="dim"):
+        with pytest.raises(NiftiError, match=rf"dim\[4\]={dim4};"):
             load_nifti(path)
 
     @pytest.mark.parametrize("vox_offset", [0.0, 348.0, 351.0])
