@@ -72,8 +72,14 @@ _CSV_RTOL = 1e-5
 _CURVE_MAX_ROWS = 10**5
 
 # Eval CSV columns whose finite cells are further limited: (least, greatest, what a cell must be).
-# A vpe below -1 would need a negative predicted volume.
-_CELL_RANGES = {"dice": (0.0, 1.0, "a dice in [0, 1]"), "vpe": (-1.0, math.inf, "a finite vpe >= -1")}
+# A volume is a voxel count times a voxel volume, so neither volume is negative;
+# a vpe below -1 would need a negative predicted volume.
+_CELL_RANGES = {
+    "dice": (0.0, 1.0, "a dice in [0, 1]"),
+    "vpe": (-1.0, math.inf, "a finite vpe >= -1"),
+    "pred_ml": (0.0, math.inf, "a finite volume >= 0"),
+    "gt_ml": (0.0, math.inf, "a finite volume >= 0"),
+}
 
 
 def _fmt(x) -> str:
@@ -154,9 +160,9 @@ def _eval_rows(path, required, optional=()) -> list:
     the locale. A ``required`` column missing from the header ends the
     command with exit 3. A row whose required cells are not all filled in is
     skipped; an empty or missing optional cell is undefined and reads as None.
-    A cell that is not a finite number, or a dice outside [0, 1], or a vpe
-    below -1, ends the command with exit 3 and a message naming the row (the
-    header is row 1).
+    A cell that is not a finite number, a dice outside [0, 1], a negative
+    volume or a vpe below -1 ends the command with exit 3 and a message naming
+    the row (the header is row 1).
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
@@ -319,8 +325,10 @@ def _pooled(tasks, jobs: int, initargs) -> list:
 
     A worker that dies (a SIGKILL, the kernel's OOM killer) breaks the pool and
     every case it had not finished. Those cases run again in order, in one
-    one-worker pool. The first case such a pool leaves unfinished runs again
-    alone, in a fresh one-worker pool; if it kills that worker too it fails as
+    one-worker pool: a worker death most often means memory ran out with
+    ``jobs`` cases in flight, and running them side by side again risks the
+    same kill. The first case such a pool leaves unfinished runs again alone,
+    in a fresh one-worker pool; if it kills that worker too it fails as
     "worker process died". The cases after it continue in another pool.
     """
     from concurrent.futures import ProcessPoolExecutor

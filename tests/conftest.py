@@ -33,6 +33,17 @@ def make_mask(data, spacing=(1.0, 1.0, 1.0)) -> BinaryMask:
     return BinaryMask(arr, spacing)
 
 
+def fixture_3x3x1():
+    """(pred, gt) as two 3x3x1 uint8 arrays: pred 6 fg, gt 4 fg, overlap 3 -> tp=3, fp=3, fn=1."""
+    pred = np.zeros((3, 3, 1), dtype=np.uint8)
+    gt = np.zeros((3, 3, 1), dtype=np.uint8)
+    pred[0, :, 0] = 1
+    pred[1, :, 0] = 1  # 6 voxels
+    gt[1, :, 0] = 1
+    gt[2, 0, 0] = 1  # 4 voxels, 3 shared
+    return pred, gt
+
+
 def random_mask(rng, dims, spacing=(1.0, 1.0, 1.0), p=None) -> BinaryMask:
     if p is None:
         p = rng.uniform(0.2, 0.8)

@@ -12,12 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import HOSTILE_KINDS, build_nifti1_bytes, hostile_nifti_bytes, make_mask, run_fresh, run_python
+from conftest import (HOSTILE_KINDS, build_nifti1_bytes, fixture_3x3x1, hostile_nifti_bytes, make_mask, run_fresh,
+                      run_python)
 from phantom import generate_phantom_dataset
 from volkit.cli import (EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _DATASETS, _csv,
                         _eval_one, _fmt, main)
 from volkit.volbounds import BOUND_CURVE_CSV_HEADER, bound_curve
 from volkit.volgrid import VolumeGrid, load_nifti, write_nifti
+
+
+EVAL_CSV = (
+    "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
+    "c0,0.9,0.818182,0.9,0.9,1,0.5,10,10,0\n"
+    "c1,0.8,0.666667,0.75,0.857143,2,0.7,12,10.5,0.142857\n"
+)
 
 
 def write_mask_pair(tmp_path, name, pred_data, gt_data, spacing=(1.0, 1.0, 1.0)):
@@ -34,14 +42,8 @@ def two_case_dataset(tmp_path):
     """Two hand-checked cases: one perfect, one the tp=3/fp=3/fn=1 fixture."""
     perfect = np.zeros((3, 3, 1), dtype=np.uint8)
     perfect[1, :, 0] = 1
-    pred2 = np.zeros((3, 3, 1), dtype=np.uint8)
-    gt2 = np.zeros((3, 3, 1), dtype=np.uint8)
-    pred2[0, :, 0] = 1
-    pred2[1, :, 0] = 1
-    gt2[1, :, 0] = 1
-    gt2[2, 0, 0] = 1
     pred_dir, gt_dir = write_mask_pair(tmp_path, "alpha.nii", perfect, perfect)
-    write_mask_pair(tmp_path, "beta.nii", pred2, gt2)
+    write_mask_pair(tmp_path, "beta.nii", *fixture_3x3x1())
     return pred_dir, gt_dir
 
 
@@ -898,75 +900,6 @@ class TestBounds:
         assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_OK
         assert json.loads(report.read_text()) == {"checked": 1, "violations": []}
 
-    @pytest.mark.parametrize("argv", [["bounds", "--audit"], ["volume"]])
-    def test_missing_csv_is_io_error(self, tmp_path, capsys, argv):
-        missing, out = tmp_path / "missing.csv", tmp_path / "out.json"
-        assert main([*argv, str(missing), "--out", str(out)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(missing) in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_audit_malformed_csv(self, tmp_path):
-        bad = tmp_path / "junk.csv"
-        bad.write_text("foo,bar\n1,2\n")
-        assert main(["bounds", "--audit", str(bad), "--out", "-"]) == EXIT_IO
-
-    def test_audit_non_numeric_cell(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(
-            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            "ok,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
-            "broken,0.9x,0.81,1,1,0,0,1.1,1,0.1\n"
-        )
-        report = tmp_path / "a.json"
-        assert main(["bounds", "--audit", str(bad), "--out", str(report)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "row 3" in err and "broken" in err and "Traceback" not in err
-        assert not report.exists()
-
-    @pytest.mark.parametrize("dice,vpe", [
-        ("nan", "0.1"), ("1.5", "0.1"), ("-0.2", "0.1"), ("inf", "0.1"), ("0.9", "nan"), ("0.9", "-inf"),
-        ("1e-310", "-2"), ("0.9", "-1.5"),
-    ])
-    def test_audit_non_finite_or_out_of_range_cell(self, tmp_path, capsys, dice, vpe):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(
-            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            "ok,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
-            f"hostile,{dice},0.81,1,1,0,0,1.1,1,{vpe}\n"
-        )
-        report = tmp_path / "a.json"
-        assert main(["bounds", "--audit", str(bad), "--out", str(report)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "row 3" in err and "hostile" in err and "Traceback" not in err
-        assert not report.exists()
-
-    def test_audit_csv_not_utf8(self, tmp_path, capsys):
-        bad = tmp_path / "latin1.csv"
-        bad.write_bytes(
-            b"case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            b"caf\xff,0.9,0.81,1,1,0,0,1.1,1,0.1\n"
-        )
-        report = tmp_path / "a.json"
-        assert main(["bounds", "--audit", str(bad), "--out", str(report)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert str(bad) in err and "Traceback" not in err
-        assert not report.exists()
-
-    @pytest.mark.parametrize("text,column", [
-        ("case_id,dice,kappa\nc0,0.9,0.8\n", "vpe"),  # an agree CSV
-        ("case_id,vpe\nc0,0.1\n", "dice"),
-        ("", "dice"),
-    ], ids=["agree-csv", "no-dice", "empty-file"])
-    def test_audit_missing_column_is_io_error(self, tmp_path, capsys, text, column):
-        path = tmp_path / "in.csv"
-        path.write_text(text)
-        report = tmp_path / "a.json"
-        assert main(["bounds", "--audit", str(path), "--out", str(report)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert f"no {column} column" in err and "Traceback" not in err
-        assert not report.exists()
-
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
     def test_audit_violations_keep_case_ids(self, tmp_path, encoding):
         path = tmp_path / "cases.csv"
@@ -1159,86 +1092,17 @@ class TestVolume:
         )
         assert main(["volume", str(path), "--out", "-"]) == EXIT_IO
 
-    def test_non_numeric_cell(self, tmp_path, capsys):
-        path = tmp_path / "cases.csv"
-        path.write_text(
-            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            "c0,1,1,1,1,0,0,1,1,0\n"
-            "c1,1,1,1,1,0,0,2,2,0\n"
-            "c2,1,1,1,1,0,0,3,n/a,0\n"
-        )
-        out = tmp_path / "vol.json"
-        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "row 4" in err and "c2" in err
-        assert not out.exists()
-
-    def test_non_numeric_vpe(self, tmp_path, capsys):
-        path = tmp_path / "cases.csv"
-        path.write_text(
-            "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            "c0,1,1,1,1,0,0,1,1,0\n"
-            "c1,1,1,1,1,0,0,2,2,zero\n"
-        )
-        assert main(["volume", str(path), "--out", "-"]) == EXIT_IO
-        assert "row 3" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("column,value", [
-        ("gt_ml", "nan"), ("pred_ml", "inf"), ("vpe", "-inf"), ("vpe", "-1.5"), ("dice", "NaN"), ("dice", "1.5"),
-    ])
-    def test_non_finite_or_out_of_range_cell(self, tmp_path, capsys, column, value):
-        header = "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe"
-        cells = dict(zip(header.split(","), "c2,0.9,,,,,,3,3,0".split(",")), **{column: value})
-        path = tmp_path / "cases.csv"
-        path.write_text(
-            f"{header}\n"
-            "c0,0.9,,,,,,1,1.1,-0.0909091\n"
-            "c1,0.9,,,,,,2,2.1,-0.047619\n"
-            + ",".join(cells.values()) + "\n"
-        )
-        out = tmp_path / "vol.json"
-        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert "row 4" in err and "c2" in err and "Traceback" not in err
-        assert not out.exists()
-
     def test_values_beyond_float_range_are_io_error(self, tmp_path, capsys):
-        # finite cells whose squared deviations overflow to inf (no NaN may reach volume.json),
-        # or are so small that the product of their sums underflows to 0
+        # finite volumes >= 0 whose squared deviations overflow to inf, so the slope is NaN (no NaN
+        # may reach volume.json), or so small that the product of their sums underflows to 0
         path = tmp_path / "cases.csv"
         out = tmp_path / "vol.json"
-        for rows in ("c0,0.9,,,,,,1e200,-1e200,0\nc1,0.9,,,,,,-1e200,1e200,0\n",
-                     "c0,0.9,,,,,,1e-160,1e-160,0\nc1,0.9,,,,,,3e-160,2e-160,0.5\n"):
+        for rows, message in (("c0,0.9,,,,,,1e200,1e-200,0\nc1,0.9,,,,,,1e-200,1e200,0\n", "not JSON compliant"),
+                              ("c0,0.9,,,,,,1e-160,1e-160,0\nc1,0.9,,,,,,3e-160,2e-160,0.5\n", "division by zero")):
             path.write_text("case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n" + rows)
             assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
-            assert re.search(r"^error: \S", capsys.readouterr().err, re.M)
+            assert re.fullmatch(rf"error: \S.*{message}.*\n", capsys.readouterr().err)
             assert not out.exists()
-
-    def test_csv_not_utf8(self, tmp_path, capsys):
-        path = tmp_path / "cases.csv"
-        path.write_bytes(
-            b"case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-            b"c0,1,1,1,1,0,0,1,1,0\n"
-            b"c\xff,1,1,1,1,0,0,2,2,0\n"
-        )
-        out = tmp_path / "vol.json"
-        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("column", ["gt_ml", "pred_ml", "dice"])
-    def test_missing_column_is_io_error(self, tmp_path, capsys, column):
-        lines = ["case_id,dice,pred_ml,gt_ml,vpe", "c0,0.9,1,1.1,-0.0909091", "c1,0.8,2,2.1,-0.047619"]
-        drop = lines[0].split(",").index(column)
-        path = tmp_path / "cases.csv"
-        path.write_text("".join(",".join(c for i, c in enumerate(line.split(",")) if i != drop) + "\n"
-                                for line in lines))
-        out = tmp_path / "vol.json"
-        assert main(["volume", str(path), "--out", str(out)]) == EXIT_IO
-        err = capsys.readouterr().err
-        assert f"no {column} column" in err and "Traceback" not in err
-        assert not out.exists()
 
     @pytest.mark.parametrize("header,cells", [
         ("case_id,dice,pred_ml,gt_ml", ["c0,0.9,11,10", "c1,0.8,18,20", "c2,0.85,33,30"]),
@@ -1253,6 +1117,84 @@ class TestVolume:
         assert result["n"] == 3 and result["mean_abs_vpe"] is None
         assert result["mean_dice"] == pytest.approx(0.85)
         assert "avpe_bound" not in result
+
+
+# Each command that reads an eval CSV through cli._eval_rows: its argv before the CSV's path, the
+# columns it needs and the columns it may lack.
+CSV_READERS = {
+    "bounds-audit": (("bounds", "--audit"), ("dice", "vpe"), ()),
+    "volume": (("volume",), ("gt_ml", "pred_ml", "dice"), ("vpe",)),
+}
+ROW_4 = "c2,0.9,,,,,,3,3,0"  # in every range, until a test spoils its cells
+# Cells spoiled in row 4; the last one is refused (a subnormal dice is in range).
+HOSTILE_CELLS = [
+    {"dice": "0.9x"}, {"dice": "nan"}, {"dice": "NaN"}, {"dice": "inf"}, {"dice": "1.5"}, {"dice": "-0.2"},
+    {"dice": "1e-310", "vpe": "-2"}, {"vpe": "zero"}, {"vpe": "nan"}, {"vpe": "inf"}, {"vpe": "-inf"},
+    {"vpe": "-1.5"}, {"gt_ml": "NA"}, {"gt_ml": "nan"}, {"gt_ml": "-inf"}, {"gt_ml": "-3"},
+    {"pred_ml": "inf"}, {"pred_ml": "-5"},
+]
+# CSVs without a column the commands need: text, then the column bounds --audit names and the one volume names.
+FOREIGN_CSVS = {
+    "agree-csv": ("case_id,dice,kappa\nc0,0.9,0.8\n", "vpe", "gt_ml"),
+    "empty-file": ("", "dice", "gt_ml"),
+    "other-csv": ("foo,bar\n1,2\n", "dice", "gt_ml"),
+}
+
+
+def without_column(text, column):
+    rows = [line.split(",") for line in text.splitlines()]
+    drop = rows[0].index(column)
+    return "".join(",".join(cells[:drop] + cells[drop + 1:]) + "\n" for cells in rows)
+
+
+class TestEvalCsvReader:
+    """Each rule of the reader ``bounds --audit`` and ``volume`` share, through every command that reads
+    the column a hostile input spoils. A refusal exits 3 with one ``error:`` line naming the row and
+    case (or the file, or the column), and writes no output."""
+
+    @staticmethod
+    def refused(capsys, command, path, named):
+        out = path.parent / "out.json"
+        assert main([*CSV_READERS[command][0], str(path), "--out", str(out)]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: [^\n]+\n", err) and named in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", CSV_READERS)
+    def test_missing_file(self, tmp_path, capsys, command):
+        missing = tmp_path / "missing.csv"
+        self.refused(capsys, command, missing, str(missing))
+
+    @pytest.mark.parametrize("command,cells", [
+        pytest.param(command, cells, id="-".join([command, *(f"{k}-{v}" for k, v in cells.items())]))
+        for cells in HOSTILE_CELLS for command, (_, required, optional) in CSV_READERS.items()
+        if set(cells) <= {*required, *optional}
+    ])
+    def test_cell_outside_its_rule(self, tmp_path, capsys, command, cells):
+        header = EVAL_CSV.split("\n", 1)[0].split(",")
+        row = {**dict(zip(header, ROW_4.split(","))), **cells}
+        path = tmp_path / "cases.csv"
+        path.write_text(EVAL_CSV + ",".join(row.values()) + "\n")
+        column, value = [*cells.items()][-1]
+        self.refused(capsys, command, path, f"row 4 (case c2): {column}={value!r}")
+
+    @pytest.mark.parametrize("command", CSV_READERS)
+    def test_file_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "cases.csv"
+        path.write_bytes(EVAL_CSV.encode() + b"c\xff,0.9,,,,,,3,3,0\n")
+        self.refused(capsys, command, path, str(path))
+
+    @pytest.mark.parametrize("command,text,column", [
+        pytest.param(command, without_column(EVAL_CSV, column), column, id=f"{command}-without-{column}")
+        for command, (_, required, _) in CSV_READERS.items() for column in required
+    ] + [
+        pytest.param(command, text, column, id=f"{command}-{name}")
+        for name, (text, *columns) in FOREIGN_CSVS.items() for command, column in zip(CSV_READERS, columns)
+    ])
+    def test_missing_column(self, tmp_path, capsys, command, text, column):
+        path = tmp_path / "cases.csv"
+        path.write_text(text)
+        self.refused(capsys, command, path, f"{path} has no {column} column")
 
 
 class TestUnwritableOutput:
@@ -1418,13 +1360,6 @@ class TestStartup:
         )
         result = run_fresh(code)
         assert result.returncode == 0, result.stderr
-
-
-EVAL_CSV = (
-    "case_id,dice,jaccard,precision,recall,hd95_mm,assd_mm,pred_ml,gt_ml,vpe\n"
-    "c0,0.9,0.818182,0.9,0.9,1,0.5,10,10,0\n"
-    "c1,0.8,0.666667,0.75,0.857143,2,0.7,12,10.5,0.142857\n"
-)
 
 
 class TestCsvCells:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mask, random_mask, random_nonempty_mask
+from conftest import fixture_3x3x1, make_mask, random_mask, random_nonempty_mask
 from oracles import brute_boundary_metrics, brute_edt, brute_surface, face_surface, kdtree_boundary_metrics
 from volkit.segmetrics import (
     CaseMetrics,
@@ -24,17 +24,6 @@ from volkit.volbounds import vpe_bounds_from_dice
 from volkit.volgrid import BinaryMask
 
 
-def fixture_3x3x1():
-    """pred 6 fg, gt 4 fg, overlap 3 -> tp=3, fp=3, fn=1."""
-    pred = np.zeros((3, 3, 1))
-    gt = np.zeros((3, 3, 1))
-    pred[0, :, 0] = 1
-    pred[1, :, 0] = 1  # 6 voxels
-    gt[1, :, 0] = 1
-    gt[2, 0, 0] = 1  # 4 voxels, 3 shared
-    return make_mask(pred), make_mask(gt)
-
-
 class TestConfusion:
     def test_identical(self):
         rng = np.random.default_rng(0)
@@ -50,7 +39,7 @@ class TestConfusion:
         assert (c.tp, c.fp, c.fn, c.tn) == (0, 0, 0, 8)
 
     def test_hand_fixture(self):
-        pred, gt = fixture_3x3x1()
+        pred, gt = map(make_mask, fixture_3x3x1())
         c = confusion(pred, gt)
         assert (c.tp, c.fp, c.fn, c.tn) == (3, 3, 1, 2)
 
@@ -408,7 +397,7 @@ class TestEvaluateCase:
     def test_case_record_extends_region_record(self):
         # RegionMetrics' fields come first: the order of cases.csv and the cohort report
         assert issubclass(CaseMetrics, RegionMetrics)
-        pred, gt = fixture_3x3x1()
+        pred, gt = map(make_mask, fixture_3x3x1())
         rm = region_metrics(confusion(pred, gt))
         assert list(vars(evaluate_case(pred, gt)).items())[:4] == list(vars(rm).items())
 
@@ -419,7 +408,7 @@ class TestEvaluateCase:
         assert cm.dice == 1 and cm.hd95_mm == 0 and cm.vpe == 0
 
     def test_composed_fixture(self):
-        pred, gt = fixture_3x3x1()
+        pred, gt = map(make_mask, fixture_3x3x1())
         cm = evaluate_case(pred, gt)
         assert cm.dice == pytest.approx(0.6)
         assert cm.pred_volume_ml == pytest.approx(0.006)
