@@ -6,11 +6,18 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import volkit
 from volkit.volgrid import BinaryMask
+
+# Every property test draws the same examples on every run and machine: no
+# per-example deadline, no example database. A test's @settings adds only
+# its example count and any health check it suppresses.
+settings.register_profile("volkit", deadline=None, derandomize=True, database=None)
+settings.load_profile("volkit")
 
 
 def run_python(*argv, env=(), **kwargs):

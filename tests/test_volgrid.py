@@ -412,8 +412,7 @@ class TestHostileStreams:
     )
 
     # every example overwrites the same file, so one tmp_path serves them all
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         edit=st.one_of(st.none(), edits),
         gzipped=st.booleans(),
