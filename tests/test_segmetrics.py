@@ -230,7 +230,7 @@ class TestBoundingBoxSurface:
     @settings(max_examples=300)
     @given(anisotropic_mask_pairs())
     def test_same_surface_indices_and_distances_as_full_grid(self, pair):
-        pred, gt = pair
+        # the distances read at these indices: TestPooledSurfaceDistances
         for mask in pair:
             want = face_surface(mask.data)
             field_in, idx = _surface(mask)
@@ -239,14 +239,21 @@ class TestBoundingBoxSurface:
             assert field_in.flags.c_contiguous == want.flags.c_contiguous
             for got_axis, want_axis in zip(idx, np.nonzero(want)):
                 assert np.array_equal(got_axis, want_axis)
-        got = _pooled_surface_distances(pred, gt)
-        want = np.concatenate([edt(gt)[face_surface(pred.data)], edt(pred)[face_surface(gt.data)]])
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()
 
     def test_empty_mask_has_no_surface(self):
         with pytest.raises(UndefinedMetricError):
             _surface(make_mask(np.zeros((3, 4, 5))))
+
+
+class TestPooledSurfaceDistances:
+    @settings(max_examples=300)
+    @given(anisotropic_mask_pairs())
+    def test_bytes_equal_full_field_path(self, pair):
+        pred, gt = pair
+        got = _pooled_surface_distances(pred, gt)
+        want = np.concatenate([edt(gt)[face_surface(pred.data)], edt(pred)[face_surface(gt.data)]])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 class TestCohenKappa:
