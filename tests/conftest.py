@@ -94,15 +94,13 @@ def build_nifti1_bytes(data, spacing, byte_order="<"):
     return bytes(header) + b"\x00" * 4 + bytes(voxels)
 
 
-HOSTILE_KINDS = ("cut-gzip", "corrupt-deflate", "inf-vox-offset", "nan-vox-offset")
-
-
 def hostile_nifti_bytes(kind: str, data, spacing=(1.0, 1.0, 1.0)) -> bytes:
-    """A NIfTI-1 file of ``data`` spoiled in one of the ways in ``HOSTILE_KINDS``.
+    """A NIfTI-1 file of ``data`` spoiled in the way ``kind`` names.
 
     ``cut-gzip`` is a .nii.gz cut off halfway, ``corrupt-deflate`` a .nii.gz
-    whose first deflate block has the reserved block type, and the two
-    ``vox-offset`` kinds are plain files whose vox_offset is not finite.
+    whose first deflate block has the reserved block type, and
+    ``inf-vox-offset`` and ``nan-vox-offset`` are plain files whose
+    vox_offset is not finite.
     """
     raw = build_nifti1_bytes(data, spacing)
     if kind == "cut-gzip":

@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (HOSTILE_KINDS, build_nifti1_bytes, fixture_3x3x1, hostile_nifti_bytes, make_mask, run_fresh,
-                      run_python)
+from conftest import build_nifti1_bytes, fixture_3x3x1, hostile_nifti_bytes, run_fresh, run_python
 from phantom import generate_phantom_dataset
 from volkit.cli import (EXIT_CHECK, EXIT_IO, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, WORKER_MEM_ENV, _DATASETS, _csv,
                         _eval_one, _fmt, main)
@@ -64,23 +65,6 @@ def run_cli(*argv, **kwargs):
 
 
 class TestEval:
-    def test_perfect_dataset_summary(self, tmp_path):
-        data = np.zeros((4, 4, 4), dtype=np.uint8)
-        data[1:3, 1:3, 1:3] = 1
-        pred_dir, gt_dir = write_mask_pair(tmp_path, "a.nii", data, data)
-        write_mask_pair(tmp_path, "b.nii", data, data)
-        out = tmp_path / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
-        summary = json.loads((out / "summary.json").read_text())
-        assert sorted(summary) == ["group", "n_cases", "report"] and summary["group"] == "all"
-        report = summary["report"]
-        assert sorted(report) == ["comparisons", "groups"] and report["comparisons"] == []
-        assert list(report["groups"]) == ["all"]
-        assert sorted(report["groups"]["all"]) == ["avpe", "metrics", "n_cases"]
-        metrics = report["groups"]["all"]["metrics"]
-        assert metrics["dice"]["mean"] == 1.0
-        assert metrics["hd95_mm"]["mean"] == 0.0
-
     def test_group_option_is_gone(self, tmp_path, capsys):
         pred_dir, gt_dir = two_case_dataset(tmp_path)
         out = tmp_path / "out"
@@ -276,7 +260,7 @@ class TestEval:
         assert summary["n_cases"] == 2
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    @pytest.mark.parametrize("kind", HOSTILE_KINDS)
+    @pytest.mark.parametrize("kind", ["cut-gzip"])  # which files are hostile is test_volgrid's business
     def test_hostile_nifti_fails_only_its_case(self, tmp_path, capsys, kind, jobs):
         mask = np.zeros((4, 3, 2), dtype=np.uint8)
         mask[1:3, 1, :] = 1
@@ -290,25 +274,6 @@ class TestEval:
         rows = (out / "cases.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["good"]
         assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["hostile"]
-
-    def test_gzip_out_of_memory_fails_its_case_as_memory_error(self, tmp_path, monkeypatch, capsys):
-        import zlib
-
-        mask = np.zeros((4, 3, 2), dtype=np.uint8)
-        mask[1:3, 1, :] = 1
-        pred_dir, gt_dir = write_mask_pair(tmp_path, "good.nii", mask, mask)
-        write_nifti(VolumeGrid(data=mask, spacing=(1, 1, 1)), gt_dir / "packed.nii")
-        (pred_dir / "packed.nii.gz").write_bytes(gzip.compress((gt_dir / "packed.nii").read_bytes()))
-
-        def out_of_memory(raw):
-            raise zlib.error("Error -4 while decompressing data")
-
-        monkeypatch.setattr(gzip, "decompress", out_of_memory)
-        out = tmp_path / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out), "--jobs", "1"]) == EXIT_PARTIAL
-        err = capsys.readouterr().err
-        assert "error: case packed: MemoryError" in err and "corrupt" not in err
-        assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["packed"]
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     def test_out_that_is_a_file_fails_before_any_case(self, tmp_path, monkeypatch, capsys, command):
@@ -395,23 +360,6 @@ class TestEval:
         assert [r.split(",")[0] for r in rows[1:]] == ["alpha", "beta", "café"]
         assert json.loads((out / "audit.json").read_text())["checked"] == 3
         assert json.loads((out / "volume.json").read_text())["n"] == 3
-
-    @pytest.mark.parametrize("slope,inter", [(np.nan, 0.0), (np.inf, 0.0), (np.nan, np.nan)])
-    def test_non_finite_scl_slope_scores_like_the_clean_file(self, tmp_path, capsys, slope, inter):
-        mask = np.zeros((4, 3, 2), dtype=np.uint8)
-        mask[1:3, 1, :] = 1
-        gt = mask.copy()
-        gt[0, 0, 0] = 1
-        pred_dir, gt_dir = write_mask_pair(tmp_path, "clean.nii", mask, gt)
-        write_mask_pair(tmp_path, "scl.nii", mask, gt)
-        raw = bytearray(build_nifti1_bytes(mask, (1, 1, 1)))
-        struct.pack_into("<2f", raw, 112, slope, inter)
-        (pred_dir / "scl.nii").write_bytes(bytes(raw))
-        out = tmp_path / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
-        assert "warning:" not in capsys.readouterr().err
-        clean, scl = (row.split(",", 1) for row in (out / "cases.csv").read_text().splitlines()[1:])
-        assert (clean[0], scl[0]) == ("clean", "scl") and clean[1] == scl[1]
 
     @pytest.mark.parametrize("command", ["eval", "agree"])
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -667,80 +615,35 @@ class TestAgree:
 
 
 class TestSpatialUnits:
-    """A pair stored in microns or meters scores as its millimeter twin does."""
-
-    @staticmethod
-    def cube_pair(size, shift):
-        pred = np.zeros((10, 10, 10), dtype=np.uint8)
-        gt = np.zeros_like(pred)
-        pred[2:2 + size, 2:2 + size, 2:2 + size] = 1
-        gt[2 + shift:2 + shift + size, 2:2 + size, 2:2 + size] = 1
-        return pred, gt
-
-    @staticmethod
-    def write_units(path, data, pixdim, units, byte_order="<"):
-        raw = bytearray(build_nifti1_bytes(data, pixdim, byte_order=byte_order))
-        raw[123] = units
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(bytes(raw))
-
-    def mm_twin(self, tmp_path, cases):
-        """Evaluate ``cases`` (name -> (pred, gt)) stored in mm; returns the out dir."""
-        mm = tmp_path / "mm"
-        mm.mkdir()
-        for name, (pred, gt) in cases.items():
-            write_mask_pair(mm, f"{name}.nii", pred, gt)
-        assert main(["eval", str(mm / "pred"), str(mm / "gt"), "--out", str(mm / "out")]) == EXIT_OK
-        return mm / "out"
-
-    @pytest.mark.parametrize("byte_order", ["<", ">"])
-    def test_micron_pair_scores_in_mm_through_eval_and_volume(self, tmp_path, byte_order):
-        cases = {"c5": self.cube_pair(5, 1), "c4": self.cube_pair(4, 1)}
-        pred_dir, gt_dir = tmp_path / "um" / "pred", tmp_path / "um" / "gt"
-        for name, (pred, gt) in cases.items():
-            self.write_units(pred_dir / f"{name}.nii", pred, (1000, 1000, 1000), 3, byte_order)
-            self.write_units(gt_dir / f"{name}.nii", gt, (1000, 1000, 1000), 3, byte_order)
-        out = tmp_path / "um" / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
-        with open(out / "cases.csv", newline="") as f:
-            row = {r["case_id"]: r for r in csv.DictReader(f)}["c5"]
-        assert [row[k] for k in ("hd95_mm", "assd_mm", "pred_ml", "gt_ml")] == ["1", "0.346939", "0.125", "0.125"]
-        twin = self.mm_twin(tmp_path, cases)
-        for name in ("cases.csv", "summary.json"):
-            assert (out / name).read_bytes() == (twin / name).read_bytes(), name
-        assert main(["volume", str(out / "cases.csv"), "--out", str(out / "volume.json")]) == EXIT_OK
-        assert main(["volume", str(twin / "cases.csv"), "--out", str(twin / "volume.json")]) == EXIT_OK
-        assert (out / "volume.json").read_bytes() == (twin / "volume.json").read_bytes()
-        assert json.loads((out / "volume.json").read_text())["slope"] == pytest.approx(1.0)
+    """A pair stored in mixed units scores as its millimeter twin does."""
 
     @pytest.mark.parametrize("pred_pixdim,pred_units", [
         ((1, 1, 1), 2),  # mm beside a micron ground truth
         ((0.001, 0.001, 0.001), 1),  # meter
     ])
     def test_mixed_units_pass_the_spacing_check(self, tmp_path, pred_pixdim, pred_units):
-        pred, gt = self.cube_pair(5, 1)
+        pred = np.zeros((10, 10, 10), dtype=np.uint8)
+        gt = np.zeros_like(pred)
+        pred[2:7, 2:7, 2:7] = 1
+        gt[3:8, 2:7, 2:7] = 1
+        twin = tmp_path / "mm"
+        twin.mkdir()
+        mm_dirs = write_mask_pair(twin, "c5.nii", pred, gt)
         pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
-        self.write_units(pred_dir / "c5.nii", pred, pred_pixdim, pred_units)
-        self.write_units(gt_dir / "c5.nii", gt, (1000, 1000, 1000), 3)
+        for path, data, pixdim, units in [(pred_dir / "c5.nii", pred, pred_pixdim, pred_units),
+                                          (gt_dir / "c5.nii", gt, (1000, 1000, 1000), 3)]:  # 3: micron
+            raw = bytearray(build_nifti1_bytes(data, pixdim))
+            raw[123] = units  # xyzt_units
+            path.parent.mkdir()
+            path.write_bytes(bytes(raw))
         out = tmp_path / "out"
         assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_OK
-        twin = self.mm_twin(tmp_path, {"c5": (pred, gt)})
-        got, want = ((d / "cases.csv").read_text().splitlines() for d in (out, twin))
+        assert main(["eval", *map(str, mm_dirs), "--out", str(twin / "out")]) == EXIT_OK
+        got, want = ((d / "cases.csv").read_text().splitlines() for d in (out, twin / "out"))
         assert got[0] == want[0] and got[1].startswith("c5,")
         # a float32 pixdim of 0.001 m is 1.00000005 mm
         assert [float(c) for c in got[1].split(",")[1:]] == pytest.approx(
             [float(c) for c in want[1].split(",")[1:]], abs=1e-6)
-
-    def test_unknown_spatial_code_fails_the_case(self, tmp_path, capsys):
-        pred, gt = self.cube_pair(5, 1)
-        pred_dir, gt_dir = write_mask_pair(tmp_path, "good.nii", pred, gt)
-        write_mask_pair(tmp_path, "bad.nii", pred, gt)
-        self.write_units(pred_dir / "bad.nii", pred, (1, 1, 1), 5)
-        out = tmp_path / "out"
-        assert main(["eval", str(pred_dir), str(gt_dir), "--out", str(out)]) == EXIT_PARTIAL
-        err = capsys.readouterr().err
-        assert "error: case bad: NiftiError:" in err and "spatial units code 5" in err
-        assert json.loads((out / "summary.json").read_text())["failed_cases"] == ["bad"]
 
 
 class TestBounds:
@@ -1437,28 +1340,50 @@ class TestAtomicOutputs:
             os.close(reader)
 
 
-class TestDeterminism:
-    def test_eval_outputs_byte_identical_across_runs(self, tmp_path):
-        generate_phantom_dataset(tmp_path / "data", n_cases=4, seed=11)
-        base = [str(tmp_path / "data" / "pred"), str(tmp_path / "data" / "gt")]
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["eval", *base, "--out", str(out1)]) == EXIT_OK
-        assert main(["eval", *base, "--out", str(out2)]) == EXIT_OK
-        assert (out1 / "cases.csv").read_bytes() == (out2 / "cases.csv").read_bytes()
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-
-
 class TestHostileInputsProperty:
     """Fixed-seed mutations of valid inputs: every outcome is a defined one, never an escape."""
 
+    # (offset, struct format) of each header field the field edits overwrite;
+    # ``dim`` and ``pixdim`` entries are overwritten one at a time.
+    INT_FIELDS = [(0, "i"), *((40 + 2 * i, "h") for i in range(8)), (70, "h"), (72, "h")]
+    FLOAT_FIELDS = [*((76 + 4 * i, "f") for i in range(8)), (108, "f"), (112, "f"), (116, "f")]
+
+    @staticmethod
+    def packed(field, value):
+        offset, fmt = field
+        return offset, struct.pack("<" + fmt, value)
+
+    edits = st.one_of(
+        st.builds(packed.__func__, st.sampled_from(INT_FIELDS[:1]), st.integers(-2**31, 2**31 - 1)),
+        st.builds(packed.__func__, st.sampled_from(INT_FIELDS[1:]), st.integers(-2**15, 2**15 - 1)),
+        st.builds(packed.__func__, st.sampled_from(FLOAT_FIELDS), st.floats(width=32)),
+        st.builds(lambda magic: (344, magic), st.binary(min_size=4, max_size=4)),
+    )
+
     def test_mutated_nifti_is_scored_or_fails_with_a_message(self, tmp_path):
-        rng = np.random.default_rng(14)
+        """The one NIfTI fuzzer: every mutant goes through ``_eval_one`` for eval and agree
+        beside a valid partner, and is scored or fails as a NiftiError or ValueError."""
         data = np.zeros((8, 8, 8), dtype=np.uint8)
         data[2:6, 3:7, 1:5] = 1
         valid = build_nifti1_bytes(data, (0.8, 0.8, 1.5))
         partner, path = tmp_path / "partner.nii", tmp_path / "mutant.nii"
         partner.write_bytes(valid)
         outcomes = {"scored": 0, "failed": 0}
+
+        def check(raw, mutant_first):
+            path.write_bytes(raw)
+            pair = (path, partner) if mutant_first else (partner, path)
+            for command in ("eval", "agree"):
+                task = (_DATASETS[command].measure, "c", str(pair[0]), str(pair[1]), 0.5)
+                case_id, result, error = _eval_one(task)
+                assert case_id == "c" and (result is None) != (error is None), (command, raw)
+                if error is None:
+                    outcomes["scored"] += 1
+                else:
+                    assert re.fullmatch(r"(NiftiError|ValueError): \S.*", error, re.S), (command, error, raw)
+                    outcomes["failed"] += 1
+
+        rng = np.random.default_rng(14)
         for i in range(1000):
             raw = bytearray(valid)
             if i % 3 == 2:  # truncation
@@ -1471,17 +1396,23 @@ class TestHostileInputsProperty:
                 raw = gzip.compress(bytes(raw), mtime=0)
                 if rng.random() < 0.5:
                     raw = raw[: int(rng.integers(0, len(raw)))]
-            path.write_bytes(raw)
-            pair = (path, partner) if i % 2 else (partner, path)
-            for command in ("eval", "agree"):
-                task = (_DATASETS[command].measure, "c", str(pair[0]), str(pair[1]), 0.5)
-                case_id, result, error = _eval_one(task)
-                assert case_id == "c" and (result is None) != (error is None), (i, command)
-                if error is None:
-                    outcomes["scored"] += 1
-                else:
-                    assert re.fullmatch(r"\w+: \S.*", error, re.S), (i, command, error)
-                    outcomes["failed"] += 1
+            check(bytes(raw), i % 2)
+
+        # one header field set to any value its type holds, then maybe gzip-wrapped, then maybe cut
+        @settings(max_examples=400)
+        @given(edit=st.one_of(st.none(), self.edits), gzipped=st.booleans(),
+               cut=st.one_of(st.none(), st.integers(min_value=0)), mutant_first=st.booleans())
+        def field_edits(edit, gzipped, cut, mutant_first):
+            raw = bytearray(valid)
+            if edit is not None:
+                offset, value = edit
+                raw[offset:offset + len(value)] = value
+            raw = gzip.compress(bytes(raw), mtime=0) if gzipped else bytes(raw)
+            if cut is not None:
+                raw = raw[: cut % (len(raw) + 1)]
+            check(raw, mutant_first)
+
+        field_edits()
         assert min(outcomes.values()) > 0, outcomes
 
     def test_mutated_eval_csv_exits_0_3_or_4_with_an_error_line(self, tmp_path, capsys):

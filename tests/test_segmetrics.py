@@ -448,45 +448,6 @@ class TestMetricProperties:
             assert ca.precision == pytest.approx(cb.recall)
             assert cohen_kappa(a, b) == pytest.approx(cohen_kappa(b, a))
 
-    def test_spacing_scaling(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            data_a = (rng.random((5, 5, 5)) < 0.5).astype(np.uint8)
-            data_b = (rng.random((5, 5, 5)) < 0.5).astype(np.uint8)
-            if not data_a.any() or not data_b.any():
-                continue
-            s = 2.5
-            base = evaluate_case(make_mask(data_a), make_mask(data_b))
-            scaled = evaluate_case(
-                make_mask(data_a, spacing=(s, s, s)), make_mask(data_b, spacing=(s, s, s))
-            )
-            assert scaled.dice == base.dice and scaled.jaccard == base.jaccard
-            assert scaled.hd95_mm == pytest.approx(s * base.hd95_mm)
-            assert scaled.assd_mm == pytest.approx(s * base.assd_mm)
-            assert scaled.gt_volume_ml == pytest.approx(s**3 * base.gt_volume_ml)
-            assert cohen_kappa(make_mask(data_a), make_mask(data_b)) == pytest.approx(
-                cohen_kappa(make_mask(data_a, spacing=(s, s, s)), make_mask(data_b, spacing=(s, s, s)))
-            )
-
-    def test_translation_invariance(self):
-        rng = np.random.default_rng(11)
-        inner_a = (rng.random((3, 3, 3)) < 0.6).astype(np.uint8)
-        inner_b = (rng.random((3, 3, 3)) < 0.6).astype(np.uint8)
-        inner_a[0, 0, 0] = inner_b[1, 1, 1] = 1
-
-        def place(inner, offset):
-            data = np.zeros((8, 8, 8), dtype=np.uint8)
-            ox, oy, oz = offset
-            data[ox : ox + 3, oy : oy + 3, oz : oz + 3] = inner
-            return make_mask(data)
-
-        base = evaluate_case(place(inner_a, (0, 0, 0)), place(inner_b, (0, 0, 0)))
-        moved = evaluate_case(place(inner_a, (3, 2, 4)), place(inner_b, (3, 2, 4)))
-        assert moved.dice == base.dice
-        assert moved.hd95_mm == pytest.approx(base.hd95_mm)
-        assert moved.assd_mm == pytest.approx(base.assd_mm)
-        assert moved.pred_volume_ml == base.pred_volume_ml
-
 
 class TestMetricIdentities:
     """Identities every metric record must satisfy, on random anisotropic mask pairs."""

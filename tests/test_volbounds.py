@@ -111,9 +111,6 @@ class TestExhaustiveVerification:
         monkeypatch.setattr(volbounds, "vpe_bounds_from_dice", narrower)
         return real
 
-    def test_2x2x2_zero_violations(self):
-        assert verify_bounds_exhaustive((2, 2, 2)) == []
-
     def test_5x5x5_zero_violations(self):
         assert verify_bounds_exhaustive((5, 5, 5)) == []
 
@@ -148,10 +145,6 @@ class TestExhaustiveVerification:
         pairs = brute_bound_violations(n_vox, volbounds._outside_bounds)
         assert len(pairs) > len(violations)
         assert got == {count_triple(pred_bits, gt_bits): tuple(bad) for pred_bits, gt_bits, *bad in pairs}
-
-    def test_identity_pairs_hit_equality(self):
-        b = vpe_bounds_from_dice(1.0)
-        assert b.lower == b.upper == 0.0
 
 
 class TestAdmits:
