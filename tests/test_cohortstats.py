@@ -14,6 +14,7 @@ from volkit.cohortstats import (
     t_two_sided_p,
 )
 from volkit.segmetrics import CaseMetrics
+from volkit.volbounds import vpe_bounds_from_dice
 
 
 def simple_case(dice=1.0, vpe=0.0, **overrides):
@@ -24,7 +25,7 @@ def simple_case(dice=1.0, vpe=0.0, **overrides):
         recall=1.0,
         hd95_mm=0.0,
         assd_mm=0.0,
-        pred_volume_ml=1.0 + vpe,
+        pred_volume_ml=1.0 + (vpe or 0.0),
         gt_volume_ml=1.0,
         vpe=vpe,
     )
@@ -283,15 +284,19 @@ class TestCohortReport:
         report = cohort_report([simple_case(), simple_case(dice=0.5, vpe=0.5)])
         assert list(report["metrics"]) == [f.name for f in fields(CaseMetrics)]
 
-    def test_undefined_metrics_skipped(self):
-        c = simple_case(precision=None, hd95_mm=None, assd_mm=None)
-        m = cohort_report([c])["metrics"]
-        assert m["precision"] is None and m["hd95_mm"] is None
-        assert m["dice"]["n"] == 1
+    def test_heterogeneous_cohort_is_flagged(self):
+        # both vpes are legal for their own Dice; mean |vpe| 9.0 against a bound of 1.636
+        cases = [simple_case(dice=1.0, vpe=0.0), simple_case(dice=0.1, vpe=vpe_bounds_from_dice(0.1).upper)]
+        avpe = cohort_report(cases)["avpe"]
+        assert avpe["mean_abs_vpe"] == 9.0 and avpe["bound"] == pytest.approx(2 / 0.55 - 2)
+        assert avpe["violated"]
 
-    def test_empty_cohort_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            cohort_report([])
+    @pytest.mark.parametrize("cases", [
+        [simple_case(dice=0.0, vpe=-1.0), simple_case(dice=0.0, vpe=4.0)],
+        [simple_case(vpe=None, gt_volume_ml=0.0), simple_case(dice=0.5, vpe=None, gt_volume_ml=0.0)],
+    ], ids=["every-dice-0", "no-vpe"])
+    def test_avpe_is_undefined_without_a_bound_or_a_vpe(self, cases):
+        assert cohort_report(cases)["avpe"] is None
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_mean_abs_vpe_is_numpy_mean_bit_for_bit(self, seed):

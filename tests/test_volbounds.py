@@ -42,39 +42,8 @@ class TestBoundsFromDice:
         assert b.upper == pytest.approx(2.0)
         assert b.lower == pytest.approx(-2.0 / 3.0)
 
-    def test_domain_rejected(self):
-        for bad in (0.0, -0.1, 1.0001):
-            with pytest.raises(ValueError):
-                vpe_bounds_from_dice(bad)
-
-    def test_abs_lower_never_exceeds_upper(self):
-        for dice in np.linspace(0.01, 1.0, 200):
-            b = vpe_bounds_from_dice(float(dice))
-            assert abs(b.lower) <= b.upper + 1e-12
-        b1 = vpe_bounds_from_dice(1.0)
-        assert abs(b1.lower) == b1.upper == 0.0
-
 
 class TestAvpeBound:
-    def test_perfect(self):
-        assert avpe_bound(1.0) == 0.0
-
-    def test_half(self):
-        assert avpe_bound(0.5) == pytest.approx(2.0)
-
-    def test_cohort_mean_abs_vpe_bounded(self):
-        # Realistic cohorts: per-case vpe well inside its Dice-derived bounds,
-        # the regime where the arithmetic-mean bound holds.
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            n_cases = int(rng.integers(2, 20))
-            dices = rng.uniform(0.7, 1.0, size=n_cases)
-            vpes = []
-            for d in dices:
-                b = vpe_bounds_from_dice(float(d))
-                vpes.append(rng.uniform(0.3 * b.lower, 0.3 * b.upper))
-            assert np.mean(np.abs(vpes)) <= avpe_bound(float(np.mean(dices))) + 1e-12
-
     def test_is_the_per_case_upper_bound_at_the_mean_dice(self):
         for d in [*np.linspace(0.001, 1.0, 1000), 1e-300, 5e-324, math.nextafter(1.0, 0.0), 1.0]:
             assert avpe_bound(float(d)).hex() == vpe_bounds_from_dice(float(d)).upper.hex()
