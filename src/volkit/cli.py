@@ -105,33 +105,47 @@ def _unwritable(path, exc: OSError) -> _Exit:
     return _Exit(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write(out, text: str):
-    """Write ``text`` to ``out``, encoded as UTF-8 whatever the locale; ``-`` is stdout.
+def _write(outputs: dict):
+    """Write each ``{out: text}``, encoded as UTF-8 whatever the locale; ``-`` is
+    stdout, and a None text removes ``out``.
 
-    A regular or new file is replaced through a temporary file beside it, so a
-    failure partway leaves any earlier file whole and no temporary behind. A
-    target that exists and is not a regular file (``/dev/null``, a FIFO) is
-    written in place, because replacing it would replace the device node.
+    Regular or new files are replaced through temporary files beside them, and
+    every temporary is written before the first replace, so a failure while
+    writing leaves every earlier file whole and no temporary behind. If a
+    replace fails after an earlier one succeeded, the files not yet replaced
+    are removed, so the outputs never mix two runs. A target that exists and
+    is not a regular file (``/dev/null``, a FIFO) is written in place, because
+    replacing it would replace the device node.
     """
-    if out == "-":
-        sys.stdout.write(text)
-        return
-    path = Path(out)
+    staged = {}  # each target path and its temporary, None to remove the target
+    out, replaced = None, 0
     try:
-        if path.exists() and not path.is_file():
-            with open(path, "w", newline="", encoding="utf-8") as f:
-                f.write(text)
-            return
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "w", newline="", encoding="utf-8") as f:
-                f.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:
-        raise _unwritable(out, exc) from exc
+        for out, text in outputs.items():
+            path = Path(out)
+            if out == "-":
+                sys.stdout.write(text)
+            elif text is None:
+                staged[path] = None
+            elif path.exists() and not path.is_file():
+                with open(path, "w", newline="", encoding="utf-8") as f:
+                    f.write(text)
+            else:
+                tmp = staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+                with open(tmp, "w", newline="", encoding="utf-8") as f:
+                    f.write(text)
+        for out, tmp in staged.items():
+            if tmp is None:
+                out.unlink(missing_ok=True)
+            else:
+                os.replace(tmp, out)
+            replaced += 1
+    except BaseException as exc:
+        stale = list(staged)[replaced:] if replaced else []  # a later replace failed: leave no mix of two runs
+        for path in [*filter(None, staged.values()), *stale]:
+            path.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise _unwritable(out, exc) from exc
+        raise
 
 
 def _csv_cell(text: str) -> str:
@@ -431,11 +445,8 @@ def cmd_dataset(args) -> int:
         if failed:
             summary["failed_cases"] = failed
         summary_text = _dump_json(summary)
-    _write(out_dir / dataset.csv_name, table)
-    if summary_text is None:  # an earlier run's summary would sit beside a CSV of no cases
-        (out_dir / "summary.json").unlink(missing_ok=True)
-    else:
-        _write(out_dir / "summary.json", summary_text)
+    # a None summary_text removes an earlier run's summary, which would sit beside a CSV of no cases
+    _write({out_dir / dataset.csv_name: table, out_dir / "summary.json": summary_text})
     _progress(f"wrote {out_dir / dataset.csv_name}" + (" and summary.json" if results else ""))
     return EXIT_PARTIAL if failed else EXIT_OK
 
@@ -458,7 +469,7 @@ def cmd_bounds(args) -> int:
         delta = (lo + step) - lo
         grid = (lo + i * delta for i in range(n_rows))
         rows = bound_curve([min(x, 1.0) for x in grid if x <= 1.0 + 1e-12])
-        _write(args.out, _csv(BOUND_CURVE_CSV_HEADER.split(","), map(dict.values, rows)))
+        _write({args.out: _csv(BOUND_CURVE_CSV_HEADER.split(","), map(dict.values, rows))})
         return EXIT_OK
 
     # audit mode: re-check every eval CSV row's (dice, vpe) against its bounds
@@ -471,7 +482,7 @@ def cmd_bounds(args) -> int:
         checked += 1
         if not b.admits(vpe, _CSV_RTOL):
             violations.append({"case_id": case_id, "dice": dice, "vpe": vpe, **vars(b)})
-    _write(args.out, _dump_json({"checked": checked, "violations": violations}))
+    _write({args.out: _dump_json({"checked": checked, "violations": violations})})
     if violations:
         _progress(f"error: {len(violations)} bound violations (metric implementation bug)")
         return EXIT_CHECK
@@ -523,7 +534,7 @@ def cmd_attn_bench(args) -> int:
         if len(sub) >= 2:
             slope = linattn.fit_loglog_slope([r["n"] for r in sub], [r["median_seconds"] for r in sub])
             lines.append(("slope", args.d, variant, slope, None))
-    _write(args.out, _csv(header, lines))
+    _write({args.out: _csv(header, lines)})
     return EXIT_OK
 
 
@@ -546,7 +557,7 @@ def cmd_volume(args) -> int:
         text = _dump_json(result)  # squares of finite cells can overflow to inf, then NaN
     except (ValueError, ArithmeticError) as exc:  # an fsum overflow; an underflow to 0 in r2
         raise _Exit(EXIT_IO, str(exc)) from exc
-    _write(args.out, text)
+    _write({args.out: text})
     return EXIT_OK
 
 

@@ -1,11 +1,10 @@
 """Cohort-level statistics: summaries, volume regression, paired t-tests.
 
-The t-distribution tail is evaluated through the regularized incomplete beta
-function, computed by the standard continued-fraction expansion (modified
-Lentz) to 1e-12; the test suite cross-checks it against direct quadrature
-of the t density. ``linear_fit`` and ``paired_t_test`` are plain Python
-(``math.fsum``, :mod:`statistics`). ``summarize`` is the only function that
-imports numpy (when called); ``summarize_fields`` and ``cohort_report`` use it.
+``linear_fit`` and ``paired_t_test`` are plain Python (``math.fsum``,
+:mod:`statistics`). The t-distribution tail is the regularized incomplete beta
+function from :mod:`scipy.special`, imported when a p-value is computed.
+``summarize`` imports numpy (when called); ``summarize_fields`` and
+``cohort_report`` use it.
 """
 
 from __future__ import annotations
@@ -102,70 +101,17 @@ def linear_fit(x, y) -> RegressionFit:
     return RegressionFit(slope=slope, intercept=intercept, r2=r2, n=len(x))
 
 
-# --- regularized incomplete beta via continued fraction -----------------
-
-_BETAINC_TOL = 1e-12
-_BETAINC_MAX_ITER = 500
-_TINY = 1e-300
-
-
-def _betacf(x: float, a: float, b: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETAINC_MAX_ITER + 1):
-        m2 = 2 * m
-        even = m * (b - m) * x / ((qam + m2) * (a + m2))
-        odd = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        for aa in (even, odd):  # convergence is judged on the odd half-step's delta
-            d = 1.0 + aa * d
-            if abs(d) < _TINY:
-                d = _TINY
-            c = 1.0 + aa / c
-            if abs(c) < _TINY:
-                c = _TINY
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-        if abs(delta - 1.0) < _BETAINC_TOL:
-            return h
-    raise RuntimeError("incomplete beta continued fraction did not converge")
-
-
-def betainc_regularized(x: float, a: float, b: float) -> float:
-    """I_x(a, b), the regularized incomplete beta function."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if a <= 0 or b <= 0:
-        raise ValueError("a and b must be positive")
-    if x == 0.0 or x == 1.0:
-        return x
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    # Use the expansion on the side where it converges fast.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(x, a, b) / a
-    return 1.0 - front * _betacf(1.0 - x, b, a) / b
-
-
 def t_two_sided_p(t: float, df: int) -> float:
     """Two-sided p-value of a t statistic: I_x(df/2, 1/2), x = df/(df + t^2)."""
+    from scipy import special
+
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
     if math.isinf(t):
         return 0.0
-    return betainc_regularized(df / (df + t * t), df / 2.0, 0.5)
+    return float(special.betainc(df / 2, 0.5, df / (df + t * t)))
 
 
 def paired_t_test(a, b) -> TTestResult:

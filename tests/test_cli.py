@@ -1137,18 +1137,6 @@ class TestStartup:
         ]
         assert run_cli("volume", tmp_path / "missing.csv").returncode == EXIT_IO
 
-    def test_paired_t_test_leaves_numpy_unloaded(self):
-        code = (
-            "import sys\n"
-            "from volkit.cohortstats import paired_t_test\n"
-            "r = paired_t_test([1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 5)\n"
-            "assert 'numpy' not in sys.modules, 'numpy imported'\n"
-            "print(r.t, r.df, r.p)\n"
-        )
-        result = run_fresh(code)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["4.242640687119285", "4", "0.01323559956368269"]
-
     def test_import_leaves_numpy_and_scipy_unloaded(self):
         code = (
             "import sys\n"
@@ -1327,6 +1315,32 @@ class TestAtomicOutputs:
         assert main(argv) == EXIT_IO
         assert f"error: cannot write {out / 'cases.csv'}: {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["eval", "agree"])
+    def test_failed_summary_replace_leaves_no_mismatched_pair(self, tmp_path, monkeypatch, capsys, command):
+        # the CSV is replaced, then summary.json's rename fails: the earlier run's summary must not stay
+        import errno
+
+        import volkit.cli as cli
+
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        argv = self.argv(tmp_path, command, out)
+        assert main(argv) == EXIT_OK
+        (Path(argv[1]) / "beta.nii").unlink()  # the next run scores one case of the two
+        assert main([*argv[:-1], str(fresh)]) == EXIT_OK
+        (csv_file,) = fresh.glob("*.csv")
+        real_replace = os.replace
+
+        def no_space_for_summary(src, dst):
+            if Path(dst).name == "summary.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", no_space_for_summary)
+        capsys.readouterr()
+        assert main(argv) == EXIT_IO
+        assert f"error: cannot write {out / 'summary.json'}: {os.strerror(errno.ENOSPC)}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {csv_file.name: csv_file.read_bytes()}
 
     @pytest.mark.parametrize("command", ["bounds-curve", "bounds-audit", "volume", "attn-bench"])
     def test_out_to_a_device_is_written_in_place(self, tmp_path, command):
